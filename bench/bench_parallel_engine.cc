@@ -1,7 +1,7 @@
 /**
  * @file
- * Head-to-head engine benchmark: SerialEngine vs ParallelEngine vs
- * DomainEngine, swept over 1/2/4/8 workers (or domains). Scenarios:
+ * Head-to-head engine benchmark: SerialEngine vs DomainEngine, swept
+ * over 1/2/4/8 domains. Scenarios:
  *
  *   - compute: K co-timed handler chains each burning deterministic
  *     CPU work per event. Parallel speedup here requires real cores;
@@ -15,10 +15,9 @@
  *   - ring_lookahead: K ticking components in a ring joined by
  *     long-latency connections (500 ns wires, 1 GHz cores), spinning
  *     per forwarded message. The latency/period ratio gives the
- *     conservative engine a 500-cycle safe window per boundary: the
- *     per-tick-barrier parallel engine synchronizes every cycle, the
- *     domain engine once per 500. This is the lookahead case the
- *     domain engine exists for.
+ *     conservative engine a 500-cycle safe window per boundary, so
+ *     the domains synchronize once per 500 cycles. This is the
+ *     lookahead case the domain engine exists for.
  *   - mailbox_storm: all-to-all small-message traffic — every node
  *     sends a burst to every other node each round and starts the next
  *     round when the previous one fully arrived. No spin work: the
@@ -118,22 +117,15 @@ struct Scenario
 enum class Kind
 {
     Serial,
-    Parallel,
     Domain
 };
 
 std::unique_ptr<sim::Engine>
 makeEngine(Kind kind, int width)
 {
-    switch (kind) {
-    case Kind::Serial:
+    if (kind == Kind::Serial)
         return std::make_unique<sim::SerialEngine>();
-    case Kind::Parallel:
-        return std::make_unique<sim::ParallelEngine>(width);
-    case Kind::Domain:
-    default:
-        return std::make_unique<sim::DomainEngine>(width);
-    }
+    return std::make_unique<sim::DomainEngine>(width);
 }
 
 double
@@ -501,6 +493,32 @@ minOfRuns(int runs, F &&once)
     return best;
 }
 
+/**
+ * Times one scenario: the serial baseline, then the domain engine at
+ * every sweep width. @p once(kind, width) runs the scenario once and
+ * returns its wall seconds. Sets serial_sec, domain_sec (one cell per
+ * width) and domain_best_speedup on @p row.
+ */
+template <typename F>
+void
+sweep(json::Json &row, const char *name, int runs, F &&once)
+{
+    std::fprintf(stderr, "%s: serial...\n", name);
+    double serial =
+        minOfRuns(runs, [&]() { return once(Kind::Serial, 1); });
+    row.set("serial_sec", serial);
+    double best = 1e18;
+    json::Json cells = json::Json::object();
+    for (int w : {1, 2, 4, 8}) {
+        std::fprintf(stderr, "%s: domain_sec %d...\n", name, w);
+        double t = minOfRuns(runs, [&]() { return once(Kind::Domain, w); });
+        cells.set(std::to_string(w), t);
+        best = std::min(best, t);
+    }
+    row.set("domain_sec", std::move(cells));
+    row.set("domain_best_speedup", serial / best);
+}
+
 } // namespace
 
 int
@@ -508,7 +526,6 @@ main(int argc, char **argv)
 {
     bench::parseCli(argc, argv);
     int runs = bench::envInt("AKITA_RUNS", 3);
-    const int sweep[] = {1, 2, 4, 8};
 
     const Scenario scenarios[] = {
         {"compute", 16, 400, 4000, 0},
@@ -526,74 +543,28 @@ main(int argc, char **argv)
 
     json::Json byScenario = json::Json::object();
     for (const Scenario &sc : scenarios) {
-        std::fprintf(stderr, "%s: serial...\n", sc.name);
-        double serial = minOfRuns(
-            runs, [&]() { return runChains(Kind::Serial, 1, sc); });
         json::Json row = json::Json::object();
         row.set("chains", sc.chains);
         row.set("events", sc.chains * sc.fires);
-        row.set("serial_sec", serial);
-        double best = serial;
-        for (Kind kind : {Kind::Parallel, Kind::Domain}) {
-            const char *label =
-                kind == Kind::Parallel ? "parallel_sec" : "domain_sec";
-            json::Json cells = json::Json::object();
-            for (int w : sweep) {
-                std::fprintf(stderr, "%s: %s %d...\n", sc.name, label,
-                             w);
-                double t = minOfRuns(runs, [&]() {
-                    return runChains(kind, w, sc);
-                });
-                cells.set(std::to_string(w), t);
-                best = std::min(best, t);
-            }
-            row.set(label, std::move(cells));
-        }
-        row.set("best_speedup", serial / best);
+        sweep(row, sc.name, runs,
+              [&](Kind kind, int w) { return runChains(kind, w, sc); });
         byScenario.set(sc.name, std::move(row));
     }
 
     {
-        std::fprintf(stderr, "%s: serial...\n", ring.name);
-        double serial = minOfRuns(
-            runs, [&]() { return runRing(Kind::Serial, 1, ring); });
         json::Json row = json::Json::object();
         row.set("nodes", ring.nodes);
         row.set("hops", ring.nodes * ring.msgsPerNode * ring.ttl);
         row.set("wire_latency_ps",
                 static_cast<std::int64_t>(ring.wireLatency));
-        row.set("serial_sec", serial);
-        double best = serial;
-        double bestDomain = 1e18;
-        for (Kind kind : {Kind::Parallel, Kind::Domain}) {
-            const char *label =
-                kind == Kind::Parallel ? "parallel_sec" : "domain_sec";
-            json::Json cells = json::Json::object();
-            for (int w : sweep) {
-                std::fprintf(stderr, "%s: %s %d...\n", ring.name,
-                             label, w);
-                double t = minOfRuns(runs, [&]() {
-                    return runRing(kind, w, ring);
-                });
-                cells.set(std::to_string(w), t);
-                best = std::min(best, t);
-                if (kind == Kind::Domain)
-                    bestDomain = std::min(bestDomain, t);
-            }
-            row.set(label, std::move(cells));
-        }
-        row.set("best_speedup", serial / best);
-        row.set("domain_best_speedup", serial / bestDomain);
+        sweep(row, ring.name, runs,
+              [&](Kind kind, int w) { return runRing(kind, w, ring); });
         byScenario.set(ring.name, std::move(row));
     }
 
     {
         const StormScenario storm = {"mailbox_storm", 8, 24, 2,
                                      500 * sim::kNanosecond};
-        std::fprintf(stderr, "%s: serial...\n", storm.name);
-        double serial = minOfRuns(runs, [&]() {
-            return runStorm(Kind::Serial, 1, storm).sec;
-        });
         json::Json row = json::Json::object();
         row.set("nodes", storm.nodes);
         row.set("rounds", storm.rounds);
@@ -601,35 +572,15 @@ main(int argc, char **argv)
                             storm.msgsPerPeer * storm.rounds);
         row.set("wire_latency_ps",
                 static_cast<std::int64_t>(storm.wireLatency));
-        row.set("serial_sec", serial);
-        double best = serial;
-        double bestDomain = 1e18;
         std::uint64_t fast = 0, slow = 0;
-        for (Kind kind : {Kind::Parallel, Kind::Domain}) {
-            const char *label =
-                kind == Kind::Parallel ? "parallel_sec" : "domain_sec";
-            json::Json cells = json::Json::object();
-            for (int w : sweep) {
-                std::fprintf(stderr, "%s: %s %d...\n", storm.name,
-                             label, w);
-                double t = 1e18;
-                for (int r = 0; r < runs; r++) {
-                    StormResult sr = runStorm(kind, w, storm);
-                    t = std::min(t, sr.sec);
-                    if (kind == Kind::Domain && w == 8) {
-                        fast = sr.mailFast;
-                        slow = sr.mailSlow;
-                    }
-                }
-                cells.set(std::to_string(w), t);
-                best = std::min(best, t);
-                if (kind == Kind::Domain)
-                    bestDomain = std::min(bestDomain, t);
+        sweep(row, storm.name, runs, [&](Kind kind, int w) {
+            StormResult sr = runStorm(kind, w, storm);
+            if (kind == Kind::Domain && w == 8) {
+                fast = sr.mailFast;
+                slow = sr.mailSlow;
             }
-            row.set(label, std::move(cells));
-        }
-        row.set("best_speedup", serial / best);
-        row.set("domain_best_speedup", serial / bestDomain);
+            return sr.sec;
+        });
         row.set("mailbox_fast_at_8",
                 static_cast<std::int64_t>(fast));
         row.set("mailbox_slow_at_8",
@@ -659,14 +610,6 @@ main(int argc, char **argv)
             return runHotspot(Kind::Serial, 1, false, hs).sec;
         });
         row.set("serial_sec", serial);
-
-        std::fprintf(stderr, "%s: parallel %d...\n", hs.name,
-                     hs.domains);
-        row.set("parallel_sec", minOfRuns(runs, [&]() {
-                    return runHotspot(Kind::Parallel, hs.domains, false,
-                                      hs)
-                        .sec;
-                }));
 
         // Event-count imbalance is deterministic per cell (the cost
         // model counts events, not wall time), so take it from a

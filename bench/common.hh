@@ -23,8 +23,8 @@ namespace bench
 {
 
 /** @{ Remembered argv so platform factories deep inside a harness can
- * honor --engine=serial|parallel and --workers=N (the AKITA_ENGINE /
- * AKITA_WORKERS env vars work too; flags win). Call parseCli() first
+ * honor --engine=serial|domain and --domains=N (the AKITA_ENGINE /
+ * AKITA_DOMAINS env vars work too; flags win). Call parseCli() first
  * thing in main(). */
 inline int &
 cliArgc()
@@ -75,10 +75,7 @@ applyEngine(gpu::PlatformConfig cfg)
 inline std::unique_ptr<sim::Engine>
 makeEngine()
 {
-    gpu::PlatformConfig cfg = applyEngine(gpu::PlatformConfig{});
-    if (cfg.engineKind == gpu::EngineKind::Parallel)
-        return std::make_unique<sim::ParallelEngine>(cfg.workers);
-    return std::make_unique<sim::SerialEngine>();
+    return gpu::makeEngine(applyEngine(gpu::PlatformConfig{}));
 }
 
 /** Reads a double from the environment with a default. */

@@ -1,6 +1,7 @@
 #include "gpu/platform.hh"
 
 #include <cstdlib>
+#include <stdexcept>
 
 namespace akita
 {
@@ -63,23 +64,9 @@ PlatformConfig::mcm4(const GpuConfig &chip)
     return cfg;
 }
 
-Platform::Platform(const PlatformConfig &cfg) : cfg_(cfg)
+Platform::Platform(const PlatformConfig &cfg)
+    : cfg_(cfg), engine_(makeEngine(cfg))
 {
-    if (cfg_.engineKind == EngineKind::Parallel) {
-        engine_ = std::make_unique<sim::ParallelEngine>(cfg_.workers);
-    } else if (cfg_.engineKind == EngineKind::Domain) {
-        auto de = std::make_unique<sim::DomainEngine>(cfg_.domains);
-        de->setRepartition(cfg_.repartition);
-        de->setCostModel(cfg_.repartitionTime
-                             ? sim::DomainEngine::CostModel::Time
-                             : sim::DomainEngine::CostModel::Events);
-        de->setRepartitionThreshold(cfg_.repartitionThreshold);
-        de->setRepartitionCooldown(cfg_.repartitionCooldown);
-        de->setRepartitionMinEvents(cfg_.repartitionMinEvents);
-        engine_ = std::move(de);
-    } else {
-        engine_ = std::make_unique<sim::SerialEngine>();
-    }
     driver_ = std::make_unique<Driver>(engine_.get(), "Driver", cfg_.freq);
     network_ = std::make_unique<net::SwitchedNetwork>(
         engine_.get(), "Network", cfg_.network);
@@ -375,12 +362,13 @@ namespace
 void
 applyEngineChoice(PlatformConfig &cfg, const std::string &kind)
 {
-    if (kind == "parallel")
-        cfg.engineKind = EngineKind::Parallel;
-    else if (kind == "domain")
+    if (kind == "domain")
         cfg.engineKind = EngineKind::Domain;
     else if (kind == "serial")
         cfg.engineKind = EngineKind::Serial;
+    else
+        throw std::invalid_argument("unknown engine '" + kind +
+                                    "' (accepted: serial, domain)");
 }
 
 void
@@ -400,13 +388,27 @@ applyRepartitionChoice(PlatformConfig &cfg, const std::string &mode)
 
 } // namespace
 
+std::unique_ptr<sim::Engine>
+makeEngine(const PlatformConfig &cfg)
+{
+    if (cfg.engineKind == EngineKind::Serial)
+        return std::make_unique<sim::SerialEngine>();
+    auto de = std::make_unique<sim::DomainEngine>(cfg.domains);
+    de->setRepartition(cfg.repartition);
+    de->setCostModel(cfg.repartitionTime
+                         ? sim::DomainEngine::CostModel::Time
+                         : sim::DomainEngine::CostModel::Events);
+    de->setRepartitionThreshold(cfg.repartitionThreshold);
+    de->setRepartitionCooldown(cfg.repartitionCooldown);
+    de->setRepartitionMinEvents(cfg.repartitionMinEvents);
+    return de;
+}
+
 void
 applyEngineEnv(PlatformConfig &cfg)
 {
     if (const char *e = std::getenv("AKITA_ENGINE"))
         applyEngineChoice(cfg, e);
-    if (const char *w = std::getenv("AKITA_WORKERS"))
-        cfg.workers = std::atoi(w);
     if (const char *d = std::getenv("AKITA_DOMAINS"))
         cfg.domains = std::atoi(d);
     if (const char *r = std::getenv("AKITA_REPARTITION"))
@@ -442,8 +444,6 @@ applyEngineArgs(PlatformConfig &cfg, int argc, char **argv)
         std::string arg = argv[i];
         if (arg.rfind("--engine=", 0) == 0)
             applyEngineChoice(cfg, arg.substr(9));
-        else if (arg.rfind("--workers=", 0) == 0)
-            cfg.workers = std::atoi(arg.c_str() + 10);
         else if (arg.rfind("--domains=", 0) == 0)
             cfg.domains = std::atoi(arg.c_str() + 10);
         else if (arg.rfind("--repartition=", 0) == 0)

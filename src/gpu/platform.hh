@@ -74,8 +74,6 @@ enum class EngineKind
 {
     /** Single-threaded SerialEngine (default; deterministic). */
     Serial,
-    /** Multi-worker ParallelEngine (same-timestamp cohorts). */
-    Parallel,
     /** Conservative-PDES DomainEngine (latency-partitioned domains). */
     Domain,
 };
@@ -85,8 +83,6 @@ struct PlatformConfig
 {
     /** Event engine implementation. */
     EngineKind engineKind = EngineKind::Serial;
-    /** Parallel-engine worker count; 0 = hardware concurrency. */
-    int workers = 0;
     /** Domain-engine target domain count; 0 = hardware concurrency. */
     int domains = 0;
     /**
@@ -229,8 +225,7 @@ class Platform
  * Applies the standard engine-selection flags/environment to a config.
  *
  * Recognized argv flags (consumed semantically, not removed):
- *   --engine=serial|parallel|domain
- *   --workers=N
+ *   --engine=serial|domain
  *   --domains=N            domain-engine partition target
  *   --repartition=on|off|events|time
  *                          adaptive domain rebalancing ("time" weighs
@@ -243,8 +238,7 @@ class Platform
  *   --record-bytes=N       segment size in bytes
  *   --fleet=N              simulation instances behind one gateway
  * Environment (lower precedence than flags):
- *   AKITA_ENGINE=serial|parallel|domain
- *   AKITA_WORKERS=N
+ *   AKITA_ENGINE=serial|domain
  *   AKITA_DOMAINS=N
  *   AKITA_REPARTITION=on|off|events|time
  *   AKITA_REPARTITION_THRESHOLD=X
@@ -254,13 +248,22 @@ class Platform
  *   AKITA_RECORD_BYTES=N
  *   AKITA_FLEET=N
  *
- * Lets every bench/example binary opt into the parallel engine with the
- * same switches.
+ * Lets every bench/example binary opt into the domain engine with the
+ * same switches. An engine name other than "serial" or "domain" throws
+ * std::invalid_argument.
  */
 void applyEngineArgs(PlatformConfig &cfg, int argc, char **argv);
 
 /** Environment-only variant for harnesses without argv access. */
 void applyEngineEnv(PlatformConfig &cfg);
+
+/**
+ * Builds the event engine @p cfg selects: a SerialEngine, or a
+ * DomainEngine configured with the domain count and repartitioning
+ * settings. The one place an engine is chosen; Platform and the bench
+ * harnesses both call it.
+ */
+std::unique_ptr<sim::Engine> makeEngine(const PlatformConfig &cfg);
 
 } // namespace gpu
 } // namespace akita

@@ -33,7 +33,7 @@ namespace net
  *
  * Internally synchronized like DirectConnection: link occupancy,
  * reservations, and traffic totals sit behind one mutex so co-timed
- * sends and deliveries from parallel-engine workers stay consistent.
+ * sends and deliveries from different domain workers stay consistent.
  */
 class SwitchedNetwork : public sim::Connection,
                         public sim::EventHandler,

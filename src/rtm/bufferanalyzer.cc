@@ -15,7 +15,7 @@ BufferAnalyzer::snapshot(BufferSort sort, std::size_t top_n,
     for (sim::Component *c : registry_->all()) {
         for (sim::Buffer *b : c->buffers()) {
             // One locked copy per buffer: the row's size and head kind
-            // are mutually consistent even under the parallel engine.
+            // are mutually consistent even under the domain engine.
             std::vector<sim::MsgPtr> msgs = b->snapshot();
             if (!include_empty && msgs.empty())
                 continue;

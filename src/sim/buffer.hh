@@ -33,9 +33,10 @@ namespace sim
  * canPush first); this is what forces explicit backpressure handling in
  * components.
  *
- * All operations are internally synchronized: under the parallel engine
- * a port's buffer is pushed by connection delivery events while the
- * owning component pops it from its own tick handler, concurrently.
+ * All operations are internally synchronized: under the domain engine
+ * a sender's connection reads a port's occupancy from one domain worker
+ * while the owning domain's worker pushes deliveries and pops it, and
+ * monitor threads read it for the buffer views, concurrently.
  * Note a canPush()/push() pair is still not atomic across callers —
  * components rely on the connection-level reservation protocol (or on
  * being the buffer's only consumer) for that, same as the serial build.

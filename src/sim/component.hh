@@ -185,9 +185,10 @@ class TickingComponent : public Component, public EventHandler
     /** Interned "<name>::tick" profiler label. */
     NameRef tickName_;
     /**
-     * Guards tickAt_/tickScheduled_ transitions: under the parallel
-     * engine, wake() arrives from other components' handlers (and from
-     * monitor threads) while this component's own tick handler runs.
+     * Guards tickAt_/tickScheduled_ transitions: under the domain
+     * engine, wake() arrives from other domains' workers (a connection
+     * waking a blocked sender) and from monitor threads while this
+     * component's own tick handler runs.
      */
     mutable std::mutex tickMu_;
     std::atomic<bool> tickScheduled_{false};

@@ -589,6 +589,23 @@ DomainEngine::enqueueRemote(Dom &d, EventPtr ev, bool counted,
     bumpProgress();
 }
 
+std::size_t
+DomainEngine::queueLength() const
+{
+    auto n = static_cast<std::int64_t>(
+        pending_.load(std::memory_order_relaxed));
+    if (tlsDom.eng == this && tlsDom.dom != nullptr) {
+        // From a handler: pending_ settles once per batch, so it still
+        // counts the running event and the ones this batch already ran.
+        const auto *d = static_cast<const Dom *>(tlsDom.dom);
+        n -= static_cast<std::int64_t>(
+                 d->events.load(std::memory_order_relaxed) -
+                 d->batchBase) +
+             1;
+    }
+    return n < 0 ? 0 : static_cast<std::size_t>(n);
+}
+
 // ---- Time ----
 
 VTime
@@ -815,6 +832,7 @@ DomainEngine::executeBatch(Dom &d, VTime bound)
     int n = 0;
     int done = 0;
     VTime last = 0;
+    d.batchBase = d.events.load(std::memory_order_relaxed);
     // The horizon raise, neighbor wake, and global counters settle
     // once per batch, not once per event. Safety is the §15 ordering
     // argument: every output of the batch was enqueued (ring-tail /

@@ -97,23 +97,5 @@ EventQueue::pop()
     return out;
 }
 
-std::size_t
-EventQueue::popCohort(std::vector<EventPtr> &out)
-{
-    Bucket *b = frontBucket();
-    if (b == nullptr)
-        return 0;
-    std::vector<EventPtr> &vec =
-        b->livePrimary() ? b->primary : b->secondary;
-    std::size_t &head = b->livePrimary() ? b->primaryHead : b->secondaryHead;
-    std::size_t n = vec.size() - head;
-    for (std::size_t i = head; i < vec.size(); i++)
-        out.push_back(std::move(vec[i]));
-    vec.clear();
-    head = 0;
-    size_ -= n;
-    return n;
-}
-
 } // namespace sim
 } // namespace akita

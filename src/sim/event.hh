@@ -154,9 +154,7 @@ class FuncEvent : public Event, public EventHandler
  * phase), and a small min-heap orders only the *distinct* live
  * timestamps. Pushing costs one hash lookup and a vector append —
  * co-timed events (the common case in cycle-aligned simulations) never
- * pay a per-event heap sift — and the whole co-timed cohort can be
- * popped at once, which is what the parallel engine executes between
- * step barriers.
+ * pay a per-event heap sift.
  *
  * Drained buckets are recycled: the map node and the vectors' capacity
  * survive in a small spare list instead of being freed, so a
@@ -164,8 +162,8 @@ class FuncEvent : public Event, public EventHandler
  * at a time) allocates nothing per timestamp.
  *
  * Not internally synchronized: engines serialize access (the serial
- * engine with its run lock, the parallel engine by mutating the queue
- * only at step barriers).
+ * engine with its run lock, the domain engine by giving each domain's
+ * queue to its one worker).
  */
 class EventQueue
 {
@@ -180,19 +178,6 @@ class EventQueue
      * before any secondary event; within the same (time, phase), FIFO.
      */
     EventPtr pop();
-
-    /**
-     * Removes every queued event sharing the earliest (time, phase) and
-     * appends them, in FIFO order, to @p out.
-     *
-     * The cohort is either all primary or all secondary: at a time with
-     * both, the primary cohort pops first and a subsequent call returns
-     * the secondaries. Events pushed after the call (e.g. by executing
-     * the cohort) form a later cohort even at the same timestamp.
-     *
-     * @return Number of events appended; 0 when the queue is empty.
-     */
-    std::size_t popCohort(std::vector<EventPtr> &out);
 
     /** Time of the earliest event; queue must be non-empty. */
     VTime peekTime() const;

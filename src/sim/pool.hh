@@ -12,13 +12,13 @@
  *  - Allocation is a thread-local freelist pop (or bump-pointer carve on
  *    a cold path); no lock, no atomic RMW.
  *  - A free from the owning thread is a freelist push.
- *  - A free from *another* thread (the parallel engine's coordinator
- *    releasing events its workers allocated, or a message dropping its
- *    last reference on a different worker) pushes the block onto the
- *    owner's lock-free return stack (Treiber stack, release push /
- *    acquire drain-all), which the owner drains when a freelist runs
- *    empty. Draining pops the whole stack at once, so there is no ABA
- *    window.
+ *  - A free from *another* thread (a domain worker executing a
+ *    cross-domain event another domain's worker allocated, or a
+ *    message dropping its last reference on a different worker)
+ *    pushes the block onto the owner's lock-free return stack (Treiber
+ *    stack, release push / acquire drain-all), which the owner drains
+ *    when a freelist runs empty. Draining pops the whole stack at once,
+ *    so there is no ABA window.
  *  - Pools are never destroyed. A dying thread parks its pool on an
  *    orphan list and the next new thread adopts it, so blocks may safely
  *    outlive the thread that allocated them.

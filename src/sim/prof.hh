@@ -17,8 +17,8 @@
  * Collection is per-thread: each thread aggregates into its own table
  * (guarded by an uncontended per-thread mutex), and snapshot() merges
  * the tables. This keeps the hot path contention-free under the
- * parallel engine, where event handlers profile concurrently from many
- * workers.
+ * domain engine, where event handlers profile concurrently from every
+ * domain worker.
  *
  * When disabled (the default), entering a scope costs a single relaxed
  * atomic load, so unmonitored simulations pay essentially nothing.

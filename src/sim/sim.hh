@@ -16,7 +16,6 @@
 #include "sim/hook.hh"
 #include "sim/msg.hh"
 #include "sim/name.hh"
-#include "sim/parallel_engine.hh"
 #include "sim/pool.hh"
 #include "sim/port.hh"
 #include "sim/prof.hh"

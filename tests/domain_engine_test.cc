@@ -11,10 +11,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
+#include "../bench/common.hh"
 #include "gpu/platform.hh"
 #include "json/json.hh"
 #include "rtm/monitor.hh"
@@ -294,6 +297,32 @@ TEST(DomainEngineCore, HandlersScheduleMoreEvents)
     eng.run();
     EXPECT_EQ(fired.load(), 10);
     EXPECT_EQ(eng.now(), 90u);
+}
+
+TEST(DomainEngineCore, QueueLengthFromHandlerMatchesSerialEngine)
+{
+    // A handler sees the events still queued, not the running one or
+    // the ones its batch already executed: a probe that re-arms while
+    // queueLength() > 0 must stop on both engines.
+    auto probeCounts = [](Engine &eng) {
+        std::vector<std::size_t> seen;
+        for (VTime t : {100u, 200u, 300u, 400u})
+            eng.scheduleAt(t, "ev", []() {});
+        std::function<void()> probe = [&]() {
+            seen.push_back(eng.queueLength());
+            // Bounded, so a miscount fails the test instead of hanging.
+            if (eng.queueLength() > 0 && seen.size() < 8)
+                eng.scheduleAt(eng.now() + 150, "probe", probe);
+        };
+        eng.scheduleAt(50, "probe", probe);
+        EXPECT_EQ(eng.run(), RunResult::Drained);
+        return seen;
+    };
+    SerialEngine serial;
+    DomainEngine dom(1);
+    std::vector<std::size_t> expected = probeCounts(serial);
+    EXPECT_EQ(expected, (std::vector<std::size_t>{4, 2, 1, 0}));
+    EXPECT_EQ(probeCounts(dom), expected);
 }
 
 TEST(DomainEngineCore, SchedulingInPastThrows)
@@ -641,6 +670,57 @@ TEST(DomainEngineRtm, ApplyEngineArgsParsesFlags)
     gpu::applyEngineArgs(cfg, 3, const_cast<char **>(argvConst));
     EXPECT_EQ(cfg.engineKind, gpu::EngineKind::Domain);
     EXPECT_EQ(cfg.domains, 3);
+
+    const char *argvSerial[] = {"prog", "--engine=serial"};
+    gpu::applyEngineArgs(cfg, 2, const_cast<char **>(argvSerial));
+    EXPECT_EQ(cfg.engineKind, gpu::EngineKind::Serial);
+}
+
+TEST(DomainEngineRtm, UnknownEngineNameIsRejected)
+{
+    // A typo or a retired engine name must not silently run serial.
+    gpu::PlatformConfig cfg;
+    for (const char *flag : {"--engine=bogus", "--engine=parallel"}) {
+        const char *argvBad[] = {"prog", flag};
+        try {
+            gpu::applyEngineArgs(cfg, 2, const_cast<char **>(argvBad));
+            ADD_FAILURE() << flag << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("serial, domain"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    const char *prev = std::getenv("AKITA_ENGINE");
+    std::string saved = prev != nullptr ? prev : "";
+    ::setenv("AKITA_ENGINE", "bogus", 1);
+    EXPECT_THROW(gpu::applyEngineEnv(cfg), std::invalid_argument);
+    if (prev != nullptr)
+        ::setenv("AKITA_ENGINE", saved.c_str(), 1);
+    else
+        ::unsetenv("AKITA_ENGINE");
+}
+
+TEST(DomainEngineRtm, EngineFactoriesAgreeOnDomainEngine)
+{
+    // Platform and the bench harnesses' bare-engine factory both build
+    // through gpu::makeEngine, so --engine=domain reaches both.
+    gpu::PlatformConfig cfg =
+        gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny());
+    cfg.engineKind = gpu::EngineKind::Domain;
+    cfg.domains = 2;
+    gpu::Platform plat(cfg);
+    EXPECT_NE(dynamic_cast<DomainEngine *>(&plat.engine()), nullptr);
+
+    static const char *argvDomain[] = {"prog", "--engine=domain",
+                                       "--domains=2"};
+    bench::parseCli(3, const_cast<char **>(argvDomain));
+    std::unique_ptr<Engine> eng = bench::makeEngine();
+    auto *de = dynamic_cast<DomainEngine *>(eng.get());
+    ASSERT_NE(de, nullptr);
+    EXPECT_EQ(de->requestedDomains(), 2);
+    bench::parseCli(0, nullptr);
 }
 
 TEST(DomainEngineRtm, PlatformRunMatchesSerialCompletion)

@@ -50,29 +50,6 @@ class BetaMsg : public Msg
     const char *kind() const override { return "Beta"; }
 };
 
-/** A handler that re-schedules itself, so workers allocate events. */
-class PingHandler : public EventHandler
-{
-  public:
-    PingHandler(Engine *eng, VTime period, int count)
-        : eng_(eng), period_(period), remaining_(count)
-    {
-    }
-
-    void
-    handle(Event &e) override
-    {
-        if (--remaining_ > 0)
-            eng_->schedule(
-                std::make_unique<Event>(e.time() + period_, this));
-    }
-
-  private:
-    Engine *eng_;
-    VTime period_;
-    int remaining_;
-};
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -158,25 +135,6 @@ TEST(Pool, CrossThreadFreeTakesRemotePath)
         again.push_back(poolAlloc(48));
     for (void *q : again)
         poolFree(q);
-}
-
-TEST(Pool, ParallelEngineFreesWorkerAllocationsRemotely)
-{
-    // Handlers run on worker threads and re-schedule there, so events
-    // are allocated on workers; the coordinator clears each executed
-    // cohort, which frees those events cross-thread.
-    PoolStats before = poolStats();
-    ParallelEngine eng(2);
-    std::vector<std::unique_ptr<PingHandler>> handlers;
-    for (int i = 0; i < 4; i++) {
-        handlers.push_back(
-            std::make_unique<PingHandler>(&eng, i + 1, 200));
-        eng.schedule(std::make_unique<Event>(0, handlers.back().get()));
-    }
-    EXPECT_EQ(eng.run(), RunResult::Drained);
-    PoolStats after = poolStats();
-    EXPECT_GT(after.allocs, before.allocs);
-    EXPECT_GT(after.remoteFrees, before.remoteFrees);
 }
 
 // ---------------------------------------------------------------------
