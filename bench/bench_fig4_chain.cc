@@ -138,6 +138,18 @@ main(int argc, char **argv)
         conn.plugIn(p);
     src.tickLater();
 
+    // The probe below reads every stage's buffer from an event handler,
+    // which only owns its own domain's components. On DomainEngine keep
+    // the whole chain on domain 0, where the probe's first event (and so
+    // every re-armed one) runs: a consistent read, the same numbers as
+    // serial.
+    if (auto *de = dynamic_cast<sim::DomainEngine *>(&eng)) {
+        for (sim::Component *comp :
+             std::initializer_list<sim::Component *>{&src, &a, &b, &c,
+                                                     &d})
+            de->pinComponent(comp, 0);
+    }
+
     rtm::ComponentRegistry registry;
     for (sim::Component *comp :
          std::initializer_list<sim::Component *>{&a, &b, &c, &d})

@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <thread>
+
 #include "json/json.hh"
 #include "rtm/serialize.hh"
 #include "sim/sim.hh"
@@ -23,6 +25,20 @@ namespace
  * of a hash-map intern per event (the satellite fast path of ISSUE 5).
  */
 const sim::NameRef kChainName("c");
+
+/**
+ * Spawns and joins one thread. From then on the process is
+ * multi-threaded for good and glibc takes the atomic path of every
+ * mutex, which is what the event path pays once a monitor's threads
+ * exist. The flip is one-way: a threaded:0 variant shows the
+ * single-threaded cost only if nothing earlier in the process started
+ * a thread, so measure it alone (--benchmark_filter).
+ */
+void
+becomeMultiThreaded()
+{
+    std::thread([]() {}).join();
+}
 
 void
 BM_EventQueuePushPop(benchmark::State &state)
@@ -74,11 +90,17 @@ BENCHMARK(BM_EngineThroughputSingleThread);
 void
 BM_EngineThroughputConcurrentMode(benchmark::State &state)
 {
-    // The cost of the engine lock taken per event once a monitor
-    // attaches (Fig. 7 scenario 2's intrinsic cost).
+    // The engine in the mode a monitor attaches (Fig. 7 scenario 2's
+    // intrinsic cost), in a process that has (threaded:1) or has never
+    // had (threaded:0) a second thread.
+    if (state.range(0) != 0)
+        becomeMultiThreaded();
     runEngineThroughput(state, true);
 }
-BENCHMARK(BM_EngineThroughputConcurrentMode);
+BENCHMARK(BM_EngineThroughputConcurrentMode)
+    ->ArgName("threaded")
+    ->Arg(0)
+    ->Arg(1);
 
 void
 BM_EngineLockBatchSweep(benchmark::State &state)
@@ -546,6 +568,11 @@ BENCHMARK(BM_ProfScopeEnabledInterned);
 void
 BM_PortSendDeliver(benchmark::State &state)
 {
+    // threaded: as BM_EngineThroughputConcurrentMode. Registered after
+    // the DomainEngine benchmarks, so a full run measures threaded:0
+    // multi-threaded as well.
+    if (state.range(0) != 0)
+        becomeMultiThreaded();
     sim::SerialEngine eng;
     class Sink : public sim::Component
     {
@@ -573,7 +600,7 @@ BM_PortSendDeliver(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_PortSendDeliver);
+BENCHMARK(BM_PortSendDeliver)->ArgName("threaded")->Arg(0)->Arg(1);
 
 } // namespace
 

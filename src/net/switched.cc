@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/component.hh"
-
 namespace akita
 {
 namespace net
@@ -52,35 +50,24 @@ SwitchedNetwork::send(sim::MsgPtr msg)
         throw std::runtime_error("network " + name_ +
                                  " cannot reach port " + dst->fullName());
     }
+    if (dst->reserve(msg->src != nullptr ? msg->src->owner() : nullptr) !=
+        sim::SendStatus::Ok)
+        return sim::SendStatus::Busy;
 
     sim::VTime now = engine_->now();
     sim::VTime done;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        std::size_t &reserved = pending_[dst];
-        if (dst->buf().size() + reserved >= dst->buf().capacity()) {
-            if (msg->src != nullptr && msg->src->owner() != nullptr) {
-                auto &waiters = blockedSenders_[dst];
-                sim::Component *owner = msg->src->owner();
-                if (std::find(waiters.begin(), waiters.end(), owner) ==
-                    waiters.end())
-                    waiters.push_back(owner);
-            }
-            return sim::SendStatus::Busy;
-        }
-
         sim::VTime &freeAt = linkFreeAt_[dst];
         sim::VTime start = std::max(now, freeAt);
         auto serialize = static_cast<sim::VTime>(
             static_cast<double>(msg->trafficBytes) * psPerByte_);
         done = start + std::max<sim::VTime>(serialize, 1);
         freeAt = done;
-
-        reserved++;
-        inFlightTotal_++;
         totalBytes_ += msg->trafficBytes;
         totalMsgs_++;
     }
+    inFlight_.fetch_add(1, std::memory_order_relaxed);
     msg->sendTime = now;
 
     engine_->schedule(std::make_unique<sim::DeliverEvent>(
@@ -91,50 +78,10 @@ SwitchedNetwork::send(sim::MsgPtr msg)
 void
 SwitchedNetwork::handle(sim::Event &event)
 {
-    auto &de = static_cast<sim::DeliverEvent &>(event);
-    deliver(std::move(de.msg));
-}
-
-void
-SwitchedNetwork::deliver(sim::MsgPtr msg)
-{
+    sim::MsgPtr &msg = static_cast<sim::DeliverEvent &>(event).msg;
     sim::Port *dst = msg->dst;
-    // Held across the push so the reservation release and buffer fill
-    // are one atomic step from a concurrent sender's point of view.
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = pending_.find(dst);
-    if (it != pending_.end() && it->second > 0)
-        it->second--;
-    inFlightTotal_--;
+    inFlight_.fetch_sub(1, std::memory_order_relaxed);
     dst->deliver(std::move(msg));
-}
-
-void
-SwitchedNetwork::notifyAvailable(sim::Port *dst)
-{
-    std::vector<sim::Component *> toWake;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        auto it = blockedSenders_.find(dst);
-        if (it == blockedSenders_.end())
-            return;
-        toWake = std::move(it->second);
-        blockedSenders_.erase(it);
-    }
-    for (sim::Component *c : toWake)
-        c->wake();
-}
-
-std::vector<sim::Connection::BlockedSender>
-SwitchedNetwork::blockedSnapshot() const
-{
-    std::vector<BlockedSender> out;
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const auto &kv : blockedSenders_) {
-        for (sim::Component *c : kv.second)
-            out.push_back(BlockedSender{kv.first, c});
-    }
-    return out;
 }
 
 } // namespace net

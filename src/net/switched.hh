@@ -6,6 +6,7 @@
 #ifndef AKITA_NET_SWITCHED_HH
 #define AKITA_NET_SWITCHED_HH
 
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <string>
@@ -31,9 +32,11 @@ namespace net
  * effect case study 1 observes as ~1000 transactions piling up in the
  * RDMA engine.
  *
- * Internally synchronized like DirectConnection: link occupancy,
- * reservations, and traffic totals sit behind one mutex so co-timed
- * sends and deliveries from different domain workers stay consistent.
+ * Destination slots are booked with Port::reserve, as on
+ * DirectConnection. The link occupancy and the traffic totals are real
+ * multi-writer state — senders on different domain workers share a
+ * destination's ingress link — and sit behind one mutex taken at send;
+ * delivery takes no lock.
  */
 class SwitchedNetwork : public sim::Connection,
                         public sim::EventHandler,
@@ -63,8 +66,6 @@ class SwitchedNetwork : public sim::Connection,
 
     void plugIn(sim::Port *port) override;
     sim::SendStatus send(sim::MsgPtr msg) override;
-    void notifyAvailable(sim::Port *dst) override;
-    std::vector<BlockedSender> blockedSnapshot() const override;
 
     sim::VTime minLatency() const override { return cfg_.latency; }
 
@@ -79,8 +80,7 @@ class SwitchedNetwork : public sim::Connection,
     std::size_t
     inFlight() const
     {
-        std::lock_guard<std::mutex> lk(mu_);
-        return inFlightTotal_;
+        return inFlight_.load(std::memory_order_relaxed);
     }
 
     /** Total bytes ever transferred. */
@@ -92,8 +92,6 @@ class SwitchedNetwork : public sim::Connection,
     }
 
   private:
-    void deliver(sim::MsgPtr msg);
-
     sim::Engine *engine_;
     std::string name_;
     /** Interned "<name>::deliver" profiler label. */
@@ -102,20 +100,13 @@ class SwitchedNetwork : public sim::Connection,
     /** Picoseconds to serialize one byte onto a link. */
     double psPerByte_;
 
-    /**
-     * Guards linkFreeAt_, pending_, blockedSenders_, and the totals.
-     * Lock order: network -> buffer; wake() runs after release.
-     */
-    mutable std::mutex mu_;
     std::vector<sim::Port *> ports_;
+    /** Guards linkFreeAt_ and the totals. Leaf lock. */
+    mutable std::mutex mu_;
     /** Earliest time each destination's ingress link is free. */
     std::map<sim::Port *, sim::VTime> linkFreeAt_;
-    /** Space reserved at each destination by in-flight messages. */
-    std::map<sim::Port *, std::size_t> pending_;
-    /** Insertion-ordered for deterministic wake order. */
-    std::map<sim::Port *, std::vector<sim::Component *>> blockedSenders_;
-
-    std::size_t inFlightTotal_ = 0;
+    /** Sent and not yet delivered (delivery decrements it lock-free). */
+    std::atomic<std::size_t> inFlight_{0};
     std::uint64_t totalBytes_ = 0;
     std::uint64_t totalMsgs_ = 0;
 };

@@ -14,17 +14,16 @@ BufferAnalyzer::snapshot(BufferSort sort, std::size_t top_n,
     std::vector<BufferLevel> out;
     for (sim::Component *c : registry_->all()) {
         for (sim::Buffer *b : c->buffers()) {
-            // One locked copy per buffer: the row's size and head kind
-            // are mutually consistent even under the domain engine.
-            std::vector<sim::MsgPtr> msgs = b->snapshot();
-            if (!include_empty && msgs.empty())
+            // Callers hold the engine lock (or run on the buffers'
+            // owning thread), so size and head are one consistent cut.
+            if (!include_empty && b->empty())
                 continue;
             BufferLevel level;
             level.name = b->name();
-            level.size = msgs.size();
+            level.size = b->size();
             level.capacity = b->capacity();
-            if (!msgs.empty())
-                level.headKind = msgs.front()->kind();
+            if (sim::MsgPtr head = b->peek())
+                level.headKind = head->kind();
             out.push_back(std::move(level));
         }
     }

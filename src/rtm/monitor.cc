@@ -188,7 +188,7 @@ Monitor::instrumentEngine()
         d.help = "Events currently queued.";
         d.type = metrics::Type::Gauge;
         d.series = metrics::SeriesMode::Full;
-        // queueLength() takes the engine lock internally.
+        // queueLength() takes the engine lock's announced handoff.
         metrics_.addCallback(std::move(d), [e]() {
             return static_cast<double>(e->queueLength());
         });
@@ -676,7 +676,7 @@ Monitor::tickComponent(const std::string &name)
     sim::Component *c = registry_.find(name);
     if (c == nullptr)
         return false;
-    withEngineLock([c]() { c->wake(); });
+    withEngineLock([c]() { c->engine()->wakeComponent(c); });
     return true;
 }
 

@@ -13,9 +13,7 @@
 
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "introspect/field.hh"
 #include "metrics/instrument.hh"
@@ -33,13 +31,14 @@ namespace sim
  * canPush first); this is what forces explicit backpressure handling in
  * components.
  *
- * All operations are internally synchronized: under the domain engine
- * a sender's connection reads a port's occupancy from one domain worker
- * while the owning domain's worker pushes deliveries and pops it, and
- * monitor threads read it for the buffer views, concurrently.
- * Note a canPush()/push() pair is still not atomic across callers —
- * components rely on the connection-level reservation protocol (or on
- * being the buffer's only consumer) for that, same as the serial build.
+ * Single-owner and unsynchronized: only the thread that runs the
+ * owning component's events may call anything but approxSize() and
+ * totalPushed() (the simulation thread, or the owning domain's worker
+ * under DomainEngine). Any other thread — a monitor view, an
+ * in-simulation probe on another domain — reads size(), peek(),
+ * fullness() or peakSize() through Engine::withLock. Senders on other
+ * threads never look at the deque: Port's slot counter keeps in-flight
+ * deliveries within capacity.
  */
 class Buffer : public introspect::Inspectable
 {
@@ -53,43 +52,22 @@ class Buffer : public introspect::Inspectable
     const std::string &name() const { return name_; }
     std::size_t capacity() const { return capacity_; }
 
-    std::size_t
-    size() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return q_.size();
-    }
+    std::size_t size() const { return q_.size(); }
 
-    bool
-    empty() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return q_.empty();
-    }
+    bool empty() const { return q_.empty(); }
 
-    bool
-    full() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return q_.size() >= capacity_;
-    }
+    bool full() const { return q_.size() >= capacity_; }
 
     /** Occupancy in [0,1]. */
     double
     fullness() const
     {
-        std::lock_guard<std::mutex> lk(mu_);
         return static_cast<double>(q_.size()) /
                static_cast<double>(capacity_);
     }
 
     /** True when at least one more message fits. */
-    bool
-    canPush() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return q_.size() < capacity_;
-    }
+    bool canPush() const { return q_.size() < capacity_; }
 
     /**
      * Appends a message.
@@ -99,12 +77,7 @@ class Buffer : public introspect::Inspectable
     void push(MsgPtr msg);
 
     /** The oldest message without removing it; nullptr when empty. */
-    MsgPtr
-    peek() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return q_.empty() ? nullptr : q_.front();
-    }
+    MsgPtr peek() const { return q_.empty() ? nullptr : q_.front(); }
 
     /** Removes and returns the oldest message; nullptr when empty. */
     MsgPtr pop();
@@ -120,12 +93,11 @@ class Buffer : public introspect::Inspectable
     void
     clear()
     {
-        std::lock_guard<std::mutex> lk(mu_);
         q_.clear();
         occupancy_.set(0);
     }
 
-    /** Total number of messages ever pushed. */
+    /** Total number of messages ever pushed. Any thread. */
     std::uint64_t totalPushed() const { return totalPushed_.value(); }
 
     /**
@@ -139,34 +111,11 @@ class Buffer : public introspect::Inspectable
     }
 
     /** Highest occupancy ever observed. */
-    std::size_t
-    peakSize() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return peakSize_;
-    }
-
-    /**
-     * A consistent copy of the queued messages, oldest first.
-     *
-     * Copies under the buffer lock (refcount bumps only, no message
-     * copies), so monitor-side consumers (buffer serializer, bottleneck
-     * analyzer) can inspect contents while delivery events and the
-     * owning component race on the buffer. Replaces the old contents()
-     * accessor, which handed out the raw deque with no lock.
-     */
-    std::vector<MsgPtr>
-    snapshot() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return std::vector<MsgPtr>(q_.begin(), q_.end());
-    }
+    std::size_t peakSize() const { return peakSize_; }
 
   private:
     std::string name_;
     std::size_t capacity_;
-    /** Guards q_ and peakSize_. Leaf lock: never call out while held. */
-    mutable std::mutex mu_;
     std::deque<MsgPtr> q_;
     metrics::Counter totalPushed_;
     metrics::Gauge occupancy_;

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -96,6 +95,9 @@ class Component : public introspect::Inspectable
      * Called when a message arrives, when backpressure clears, and by the
      * monitor's per-component "Tick" control. The base implementation is
      * a no-op; TickingComponent schedules a tick.
+     *
+     * Owner thread only. A wake from any other thread (a sender on
+     * another domain, a monitor) goes through Engine::wakeComponent.
      */
     virtual void wake() {}
 
@@ -185,14 +187,13 @@ class TickingComponent : public Component, public EventHandler
     /** Interned "<name>::tick" profiler label. */
     NameRef tickName_;
     /**
-     * Guards tickAt_/tickScheduled_ transitions: under the domain
-     * engine, wake() arrives from other domains' workers (a connection
-     * waking a blocked sender) and from monitor threads while this
-     * component's own tick handler runs.
+     * Tick bookkeeping is owner-only: only the thread running this
+     * component's events writes it. Wakes from other threads reach it
+     * through Engine::wakeComponent. tickScheduled_ is atomic only so
+     * monitor threads can read asleep() without the engine lock.
      */
-    mutable std::mutex tickMu_;
     std::atomic<bool> tickScheduled_{false};
-    /** Earliest time a tick event is already queued for. */
+    /** Time of the latest tick event queued. */
     VTime tickAt_ = 0;
     /** Cycle of the most recent executed tick (handler-only). */
     VTime lastTickAt_ = 0;

@@ -6,8 +6,6 @@
 #ifndef AKITA_SIM_CONNECTION_HH
 #define AKITA_SIM_CONNECTION_HH
 
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -60,18 +58,13 @@ class Connection
     virtual void plugIn(Port *port) = 0;
 
     /**
-     * Attempts to transmit; called by Port::send.
+     * Attempts to transmit; called by Port::send on the sender's
+     * thread. Books the destination slot with Port::reserve.
      *
      * @return Busy when the destination (or the connection itself)
      *         cannot accept the message now.
      */
     virtual SendStatus send(MsgPtr msg) = 0;
-
-    /**
-     * Signals that @p dst freed buffer space, so senders blocked on it
-     * can be woken.
-     */
-    virtual void notifyAvailable(Port *dst) = 0;
 
     /**
      * Lower bound on the delivery latency of any message this
@@ -90,14 +83,11 @@ class Connection
     };
 
     /**
-     * Snapshot of every sender blocked on this connection (hang
-     * analysis: each entry is a wait-for edge sender → dst owner).
-     * The default reports nothing.
+     * Snapshot of every sender blocked on one of this connection's
+     * ports (hang analysis: each entry is a wait-for edge sender →
+     * dst owner).
      */
-    virtual std::vector<BlockedSender> blockedSnapshot() const
-    {
-        return {};
-    }
+    std::vector<BlockedSender> blockedSnapshot() const;
 };
 
 /**
@@ -105,16 +95,14 @@ class Connection
  *
  * Any plugged port may send to any other plugged port; each message is
  * delivered after a fixed latency. Destination buffer space is reserved
- * at send time, so in-flight messages never overflow the destination:
- * when no space remains, send returns Busy and the sending component is
- * woken once space frees.
+ * at send time (Port::reserve), so in-flight messages never overflow
+ * the destination: when no space remains, send returns Busy and the
+ * sending component is woken once space frees.
  *
- * Internally synchronized: under the domain engine, a connection that
- * crosses domains is sent on by one domain's worker while another
- * delivers on it, so both race on the reservation table. The mutex is
- * held across the delivery push so the invariant size+reserved <=
- * capacity can never be violated by a send that sneaks between the
- * reservation release and the buffer push.
+ * Stateless between send and delivery, so it needs no lock even when
+ * it crosses domains: the sender's worker books the slot on the
+ * destination port, and the delivery event runs on the worker that
+ * owns the destination.
  */
 class DirectConnection : public Connection, public EventHandler
 {
@@ -137,7 +125,6 @@ class DirectConnection : public Connection, public EventHandler
 
     void plugIn(Port *port) override;
     SendStatus send(MsgPtr msg) override;
-    void notifyAvailable(Port *dst) override;
 
     VTime minLatency() const override { return latency_; }
 
@@ -148,39 +135,13 @@ class DirectConnection : public Connection, public EventHandler
 
     std::string handlerName() const override { return deliverName_.str(); }
 
-    /** Messages currently in flight on this connection. */
-    std::size_t
-    inFlight() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        return inFlightTotal_;
-    }
-
-    std::vector<BlockedSender> blockedSnapshot() const override;
-
   private:
-    void deliver(MsgPtr msg);
-
     Engine *engine_;
     std::string name_;
     VTime latency_;
     /** Interned "<name>::deliver" profiler label. */
     NameRef deliverName_;
     std::vector<Port *> ports_;
-    /**
-     * Guards pending_, blockedSenders_, inFlightTotal_. Lock order:
-     * conn -> buffer (leaf); wake() is always called after releasing it.
-     */
-    mutable std::mutex mu_;
-    /** Space reserved at each destination by in-flight messages. */
-    std::map<Port *, std::size_t> pending_;
-    /**
-     * Components to wake when the keyed destination frees space.
-     * Insertion-ordered (not a set): wake order must be deterministic,
-     * and pointer ordering varies across platform instantiations.
-     */
-    std::map<Port *, std::vector<Component *>> blockedSenders_;
-    std::size_t inFlightTotal_ = 0;
 };
 
 } // namespace sim

@@ -34,6 +34,18 @@ struct TlsDom
 
 thread_local TlsDom tlsDom;
 
+/** A wake handed to the domain that owns @c target. */
+class WakeEvent : public Event
+{
+  public:
+    WakeEvent(VTime time, EventHandler *handler, Component *target)
+        : Event(time, handler), target(target)
+    {
+    }
+
+    Component *target;
+};
+
 [[noreturn]] void
 throwPast(VTime t, VTime now)
 {
@@ -415,10 +427,23 @@ DomainEngine::idleWait(Dom &d, std::uint64_t wgen)
     }
     if (ready())
         return;
-    d.parkedFlag.store(true, std::memory_order_seq_cst);
     {
         std::unique_lock<std::mutex> lk(d.parkMu);
-        d.parkCv.wait(lk, ready);
+        // Register before every wait, not once before the first: a
+        // waker's exchange in wakeDom() may claim (clear) a flag it read
+        // as set while this worker was between parks — a stale
+        // registration — and its notify then finds this worker not yet
+        // waiting, or wakes it with nothing new to see. Waiting again
+        // on a cleared flag would make every later wakeDom() skip the
+        // notify: a lost wake, with all workers asleep on futexes.
+        // Each registration is followed by the predicate check under
+        // parkMu, which a claiming waker must take to notify.
+        for (;;) {
+            d.parkedFlag.store(true, std::memory_order_seq_cst);
+            if (ready())
+                break;
+            d.parkCv.wait(lk);
+        }
     }
     d.parkedFlag.store(false, std::memory_order_relaxed);
 }
@@ -446,6 +471,12 @@ DomainEngine::lookupDom(const Event &ev) const
                 std::memory_order_relaxed);
             return doms_[it->second].get();
         }
+    }
+    if (ev.handler() == &wakeHandler_) {
+        auto it = componentDom_.find(
+            static_cast<const WakeEvent &>(ev).target);
+        return it != componentDom_.end() ? doms_[it->second].get()
+                                         : nullptr;
     }
     if (!handlerDom_.empty()) {
         auto it = handlerDom_.find(ev.handler());
@@ -553,6 +584,42 @@ DomainEngine::schedule(EventPtr event)
     std::lock_guard<std::recursive_mutex> lk(setupMu_);
     Dom *d = routeOf(*event);
     enqueueRemote(*d, std::move(event), false);
+}
+
+void
+DomainEngine::wakeComponent(Component *c)
+{
+    if (tlsDom.eng != this) {
+        // External thread (the monitor's Tick, setup code). Stamped no
+        // earlier than the owner's clock so the wake is legal between
+        // runs too; setupMu_ keeps the routing map still while read.
+        std::lock_guard<std::recursive_mutex> lk(setupMu_);
+        VTime t = now();
+        if (partitioned_.load(std::memory_order_acquire)) {
+            auto it = componentDom_.find(c);
+            if (it != componentDom_.end())
+                t = std::max(t, doms_[it->second]->clock.load(
+                                    std::memory_order_acquire));
+        }
+        schedule(std::make_unique<WakeEvent>(t, &wakeHandler_, c));
+        return;
+    }
+    // Worker context: the routing map is stable for the run step. A
+    // component with no recorded domain is routed to the scheduling
+    // worker anyway (routeOf's fallback), so it is ours too.
+    auto it = componentDom_.find(c);
+    if (it == componentDom_.end() ||
+        doms_[it->second].get() == tlsDom.dom) {
+        c->wake();
+        return;
+    }
+    schedule(std::make_unique<WakeEvent>(now(), &wakeHandler_, c));
+}
+
+void
+DomainEngine::WakeHandler::handle(Event &ev)
+{
+    static_cast<WakeEvent &>(ev).target->wake();
 }
 
 void
@@ -713,12 +780,12 @@ DomainEngine::drainMail(Dom &d)
         }
         if (auto *tc =
                 dynamic_cast<TickingComponent *>(ev->handler())) {
-            // Wake/tick from a domain whose clock lags ours: floor it
-            // to the horizon, and strictly above the last executed
-            // cycle — a wake landing on an already-ticked cycle would
+            // A tick an external thread scheduled directly (setup
+            // code; cross-domain wakes arrive as wake events): floor
+            // it to the horizon, and strictly above the last executed
+            // cycle — a tick landing on an already-ticked cycle would
             // be eaten by handle()'s same-cycle duplicate guard and
-            // the sleeping component would never retry. Physically the
-            // wake crosses the boundary with the wire's latency.
+            // the sleeping component would never retry.
             VTime floor = std::max(hz, clk + 1);
             if (ev->time() < floor) {
                 VTime t = floor;

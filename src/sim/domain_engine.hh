@@ -68,10 +68,14 @@ namespace sim
  * spin briefly and then park on a per-domain channel; a horizon raise
  * wakes only the domains whose safe window actually moved.
  *
- * Cross-domain wakes (sleep/wake ticking, monitor Tick) are scheduled
- * from the waker's clock and may land below the destination's horizon;
- * they are floored up to it at mailbox drain — physically, backpressure
- * release travels with the wire latency of the connection it crosses.
+ * Every component belongs to one domain's worker (the single-owner
+ * invariant, DESIGN.md §8). A wake from another thread (backpressure
+ * release waking a sender across the cut, the monitor's Tick) is
+ * posted to the owner as a wake event through wakeComponent(); it is
+ * stamped with the waker's clock and may land below the destination's
+ * horizon, so it is floored up to it at mailbox drain — physically,
+ * backpressure release travels with the wire latency of the connection
+ * it crosses.
  * Cross-domain *message deliveries* can never need flooring (their
  * stamp carries the connection latency); one arriving below the horizon
  * means a zero-lookahead cut and throws. run() rejects partitions with
@@ -169,6 +173,13 @@ class DomainEngine : public Engine
     std::size_t queueLength() const override;
 
     void withLock(const std::function<void()> &fn) const override;
+
+    /**
+     * Inline when the caller is the worker of @p c's domain; otherwise
+     * posts a wake event that the owning worker runs (floored to its
+     * horizon at mailbox drain, like any cross-domain event).
+     */
+    void wakeComponent(Component *c) override;
 
     void noteComponent(Component *c) override;
     void noteComponentDestroyed(Component *c) override;
@@ -507,6 +518,14 @@ class DomainEngine : public Engine
         std::atomic<std::uint64_t> costTotal{0};
     };
 
+    /** Runs posted wake events (see wakeComponent). */
+    struct WakeHandler : EventHandler
+    {
+        void handle(Event &ev) override;
+        NameRef profName() const override { return name; }
+        NameRef name{"DomainEngine::wake"};
+    };
+
     Dom *routeOf(const Event &ev);
     Dom *lookupDom(const Event &ev) const;
     void enqueueRemote(Dom &d, EventPtr ev, bool countScheduled,
@@ -552,6 +571,7 @@ class DomainEngine : public Engine
 
     int requested_;
     int batch_ = 256;
+    WakeHandler wakeHandler_;
 
     // Registration (guarded by setupMu_ until partitioned). Recursive
     // so a pre-partition withLock() body can schedule(); the partition

@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "sim/component.hh"
 #include "sim/prof.hh"
 
 namespace akita
@@ -55,7 +56,11 @@ SerialEngine::schedule(EventPtr event)
         }
         totalScheduled_.fetch_add(1, std::memory_order_relaxed);
         queue_.push(std::move(event));
-        cv_.notify_all();
+        // Only a drained run loop waits for new events, and it sets
+        // drainedWaiting_ under mu_, which we hold: a false read here
+        // cannot miss a waiter.
+        if (drainedWaiting_.load(std::memory_order_relaxed))
+            cv_.notify_all();
     } else {
         if (event->time() < now()) {
             throw std::runtime_error(
@@ -96,11 +101,12 @@ SerialEngine::resume()
 std::size_t
 SerialEngine::queueLength() const
 {
-    if (concurrent_) {
-        std::lock_guard<std::recursive_mutex> lk(mu_);
-        return queue_.size();
-    }
-    return queue_.size();
+    // Through withLock's announced handoff: a bare lock here would
+    // queue behind the run loop, which re-takes mu_ between batches
+    // unless a waiter has announced itself.
+    std::size_t n = 0;
+    withLock([&]() { n = queue_.size(); });
+    return n;
 }
 
 void
@@ -120,6 +126,12 @@ SerialEngine::withLock(const std::function<void()> &fn) const
     } else {
         fn();
     }
+}
+
+void
+Engine::wakeComponent(Component *c)
+{
+    c->wake();
 }
 
 void

@@ -127,6 +127,16 @@ class Engine : public Hookable, public introspect::Inspectable
      */
     virtual void withLock(const std::function<void()> &fn) const = 0;
 
+    /**
+     * Calls @p c's wake() on the thread that owns @p c — the one way
+     * another thread may wake a component (a sender blocked on a port
+     * owned elsewhere, the monitor's Tick control). The default wakes
+     * inline, which is right for an engine with one simulation thread:
+     * its event handlers own everything, and monitor threads call this
+     * inside withLock.
+     */
+    virtual void wakeComponent(Component *c);
+
     // ---- Topology notes ----
     //
     // Components and connections announce themselves to the engine at
@@ -225,9 +235,13 @@ class SerialEngine : public Engine
      * Events executed per engine-lock acquisition in concurrent mode.
      *
      * Larger batches amortize the lock on the event loop; smaller
-     * batches reduce the worst-case wait of a monitor request. The
-     * default (256) makes the monitored event loop run within a few
-     * percent of the unmonitored one (see bench_micro's sweep).
+     * batches reduce the worst-case wait of a monitor request. At the
+     * default (256) the batch lock itself is noise next to the event
+     * cost (bench_micro's BM_EngineLockBatchSweep). What a monitored
+     * run does pay is the process being multi-threaded: glibc then
+     * takes the atomic path of every mutex, so each one left on the
+     * event path costs more (BM_EngineThroughputConcurrentMode with
+     * threaded:1 against threaded:0).
      */
     void
     setLockBatch(int n)

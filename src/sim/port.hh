@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "metrics/instrument.hh"
 #include "sim/buffer.hh"
@@ -38,6 +40,13 @@ enum class SendStatus
  * Each port has a bounded incoming buffer; the buffer is automatically
  * visible to the bottleneck analyzer (the Go original discovers it via
  * reflection; here the component base class enumerates its ports).
+ *
+ * The port also holds the delivery-side flow control every connection
+ * shares: a slot counter (messages buffered plus in flight towards
+ * this port) that senders on any thread book with a bounded CAS, and
+ * the list of senders to wake when a slot frees. Everything else —
+ * send(), the buffer, retrieval — belongs to the owning component's
+ * thread.
  */
 class Port : public Hookable
 {
@@ -78,8 +87,7 @@ class Port : public Hookable
     /**
      * Consumes the oldest delivered message.
      *
-     * Frees buffer space and notifies the connection so that blocked
-     * senders are woken.
+     * Frees the message's slot and wakes senders blocked on it.
      */
     MsgPtr retrieveIncoming();
 
@@ -92,12 +100,28 @@ class Port : public Hookable
 
     /**
      * Delivers a message into the incoming buffer (connection side) and
-     * wakes the owning component.
+     * wakes the owning component. Runs on the owner's thread; the slot
+     * was booked by reserve() when the message was sent.
      */
     void deliver(MsgPtr msg);
 
-    /** True when the incoming buffer can accept another delivery. */
-    bool canAcceptDelivery() const { return buf_.canPush(); }
+    /**
+     * Connection side of a send, callable from any thread: books one
+     * buffer slot for a message about to go in flight to this port.
+     *
+     * On Busy, @p sender (when non-null) is registered and woken
+     * through Engine::wakeComponent once the owner retrieves a message.
+     * The slot counter may over-count for a moment (a retrieve frees
+     * the buffer entry before the slot) but never under-counts, so an
+     * in-flight message always finds room.
+     */
+    SendStatus reserve(Component *sender);
+
+    /**
+     * Senders blocked on this port's buffer, in registration order
+     * (hang analysis: each is a wait-for edge sender -> owner).
+     */
+    std::vector<Component *> blockedSenders() const;
 
     /**
      * Traffic counters. Backed by relaxed atomics so monitor threads
@@ -119,11 +143,29 @@ class Port : public Hookable
   private:
     friend class DomainEngine;
 
+    /** The bounded CAS on slots_; false when the buffer is booked up. */
+    bool tryReserve();
+
+    /** Frees the slot of a retrieved message; wakes blocked senders. */
+    void releaseSlot();
+
     Component *owner_;
     std::string name_;
     std::string fullName_;
     Buffer buf_;
     Connection *conn_ = nullptr;
+    /** Messages buffered or in flight towards this port. */
+    std::atomic<std::size_t> slots_{0};
+    /** Set while blocked_ is non-empty; lets releaseSlot skip the lock. */
+    std::atomic<bool> hasBlocked_{false};
+    /** Guards blocked_. Taken only on the Busy path and to wake. */
+    mutable std::mutex blockedMu_;
+    /**
+     * Components to wake when a slot frees. Insertion-ordered (not a
+     * set): wake order must be deterministic, and pointer ordering
+     * varies across platform instantiations.
+     */
+    std::vector<Component *> blocked_;
     metrics::Counter totalSent_;
     metrics::Counter totalRejected_;
     metrics::Counter totalSentBytes_;

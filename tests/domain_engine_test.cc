@@ -529,6 +529,110 @@ TEST(DomainEngineCross, MessagesArriveInOrderUnderBackpressure)
         EXPECT_EQ(b.received[i], i);
 }
 
+namespace
+{
+
+/**
+ * Offers the head of its outbox every @c gap cycles, after burning
+ * @c spin loop iterations, and sleeps on Busy until woken. With a gap
+ * shorter than the link latency the receiver's retrieve of the
+ * previous message falls, in virtual time, after the offer — so across
+ * two domains the two run concurrently in wall-clock time.
+ */
+class GapSender : public TickingComponent
+{
+  public:
+    explicit GapSender(Engine *engine)
+        : TickingComponent(engine, "Sender", Freq::ghz(1))
+    {
+        out = addPort("Out", 1);
+    }
+
+    bool
+    tick() override
+    {
+        if (outbox.empty())
+            return false;
+        volatile int sink = 0;
+        for (int i = 0; i < spin; i++)
+            sink = sink + i;
+        outbox.front()->dst = target;
+        if (out->send(outbox.front()) != SendStatus::Ok)
+            return false;
+        outbox.erase(outbox.begin());
+        scheduleTickAt(engine()->now() + gap * freq().period());
+        return false;
+    }
+
+    Port *out = nullptr;
+    Port *target = nullptr;
+    std::vector<MsgPtr> outbox;
+    int gap = 2;
+    int spin = 0;
+};
+
+/** Ticks every cycle for a fixed number of cycles, doing nothing. */
+class Metronome : public TickingComponent
+{
+  public:
+    Metronome(Engine *engine, int cycles)
+        : TickingComponent(engine, "Metronome", Freq::ghz(1)),
+          left_(cycles)
+    {
+    }
+
+    bool tick() override { return --left_ > 0; }
+
+  private:
+    int left_;
+};
+
+} // namespace
+
+TEST(DomainEngineCross, BackpressureWakeNeverLostAcrossDomains)
+{
+    // Regression for Port's slot/wake handshake. A sender whose
+    // reserve() fails registers for a wake and then re-reads the slot
+    // count; the receiver, on the other worker, frees the slot and then
+    // reads the registration flag. Without the re-check, a slot freed
+    // between the sender's failed try and its registration wakes
+    // nobody: the sender sleeps for good and the run drains with
+    // messages left in its outbox. A one-slot buffer behind a 20-cycle
+    // link, offered to every 2-17 cycles, makes offers race retrieves:
+    // the metronome's per-cycle events let the sender's domain publish
+    // a horizon between a send and the next offer, so the receiver may
+    // retrieve while the offer runs. The runs vary the gap and where
+    // in its tick the sender offers.
+    constexpr int kRuns = 200;
+    constexpr int kMsgs = 100;
+    for (int run = 0; run < kRuns; run++) {
+        DomainEngine eng(2);
+        GapSender a(&eng);
+        Metronome beat(&eng, kMsgs * 40);
+        Node b(&eng, "Receiver", 1);
+        DirectConnection conn(&eng, "Conn", 20 * kNanosecond);
+        conn.plugIn(a.out);
+        conn.plugIn(b.in);
+        eng.pinComponent(&a, 0);
+        eng.pinComponent(&beat, 0);
+        eng.pinComponent(&b, 1);
+
+        a.target = b.in;
+        a.gap = 2 + run % 16;
+        static const int kSpins[] = {0, 300, 1000, 3000, 10000, 30000};
+        a.spin = kSpins[run / 16 % 6];
+        b.drainPerTick = 1;
+        for (int i = 0; i < kMsgs; i++)
+            a.outbox.push_back(makeMsg<TestMsg>(i));
+        a.tickLater();
+        beat.tickLater();
+
+        ASSERT_EQ(eng.run(), RunResult::Drained);
+        ASSERT_EQ(b.received.size(), static_cast<std::size_t>(kMsgs))
+            << "run " << run << ": a backpressure wake was lost";
+    }
+}
+
 TEST(DomainEngineCross, EndStateMatchesSerialEngine)
 {
     // Same rig on the serial engine and on a 2-domain engine: the

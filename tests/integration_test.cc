@@ -175,12 +175,13 @@ TEST(Integration, StopMidRunLeavesConsistentState)
 TEST(Integration, CustomProgressBarForMemCopy)
 {
     // §IV-C: developers can add custom bars, e.g. bytes copied.
+    // The platform outlives the monitor: ~Monitor detaches from the
+    // engine.
+    gpu::Platform plat(
+        gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny()));
     rtm::MonitorConfig mc;
     mc.announceUrl = false;
     rtm::Monitor mon(mc);
-
-    gpu::Platform plat(
-        gpu::PlatformConfig::mcm4(gpu::GpuConfig::tiny()));
     mon.registerEngine(&plat.engine());
 
     workloads::MemCopyParams p;

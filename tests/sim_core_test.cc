@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "sim/component.hh"
@@ -474,6 +477,66 @@ TEST(SerialEngine, WithLockNotStarvedByBusyEventLoop)
                   elapsed)
                   .count(),
               5000);
+}
+
+TEST(SerialEngine, QueueLengthNotStarvedByBusyEventLoop)
+{
+    // Regression: queueLength() took the engine lock without announcing
+    // itself the way withLock() does, so the run loop could re-take the
+    // lock after every batch and the metrics sampler's queue-length
+    // gauge (or /api/status) wait behind the rest of the run. Through
+    // the announced handoff a call lets at most the running batch and
+    // one more finish, and always returns while the run is going.
+    //
+    // The starvation needs a busy host, as a monitored run's own
+    // threads make one: on idle cores the woken waiter usually wins the
+    // mutex anyway. One spinning thread stands in for that load.
+    SerialEngine eng;
+    eng.setConcurrentAccess(true);
+
+    // Bounded, so a starved call shows up as the run having ended.
+    constexpr int kEvents = 2000000;
+    int fired = 0;
+    std::function<void()> chain = [&]() {
+        if (++fired < kEvents)
+            eng.scheduleAt(eng.now() + 1, "c", chain);
+    };
+    eng.scheduleAt(0, "c", chain);
+
+    std::thread runner([&]() { eng.run(); });
+    while (eng.eventCount() == 0)
+        std::this_thread::yield();
+    std::atomic<bool> stopLoad{false};
+    std::thread load([&stopLoad]() {
+        while (!stopLoad.load(std::memory_order_relaxed)) {
+        }
+    });
+
+    int returnedWhileRunning = 0;
+    std::uint64_t worstEvents = 0;
+    for (int i = 0; i < 50; i++) {
+        std::uint64_t before = eng.eventCount();
+        std::size_t n = eng.queueLength();
+        std::uint64_t during = eng.eventCount() - before;
+        if (!eng.running())
+            break;
+        EXPECT_EQ(n, 1u); // The chain keeps exactly one event queued.
+        worstEvents = std::max(worstEvents, during);
+        returnedWhileRunning++;
+    }
+    runner.join();
+    stopLoad.store(true);
+    load.join();
+
+    EXPECT_EQ(fired, kEvents);
+    EXPECT_EQ(returnedWhileRunning, 50)
+        << "a queueLength() call waited for the run to end";
+    // A call costs at most two batches; the bound leaves room for the
+    // calling thread being preempted, and still catches the old lock,
+    // which let the loop run hundreds of thousands of events past a
+    // waiting call on a loaded host.
+    EXPECT_LT(worstEvents, static_cast<std::uint64_t>(kEvents / 4))
+        << "the run loop did not yield to a waiting queueLength() call";
 }
 
 TEST(TickingComponent, DeadlineSurvivesSameCycleWakeRearm)
