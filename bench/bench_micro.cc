@@ -63,6 +63,35 @@ BM_EventQueuePushPop(benchmark::State &state)
 BENCHMARK(BM_EventQueuePushPop);
 
 void
+BM_EventQueuePushPopCycleAligned(benchmark::State &state)
+{
+    // The queue pattern a cycle-aligned simulation runs: range(0)
+    // components share each timestamp, and every popped tick re-arms
+    // at now + one period (TickingComponent::tickLater), so pushes
+    // repeat one timestamp and pops walk one bucket at a time.
+    const int perCycle = static_cast<int>(state.range(0));
+    constexpr sim::VTime kPeriod = 1000;
+    sim::EventQueue q;
+    class Nop : public sim::EventHandler
+    {
+      public:
+        void handle(sim::Event &) override {}
+    } nop;
+
+    for (int i = 0; i < perCycle; i++)
+        q.push(std::make_unique<sim::Event>(kPeriod, &nop));
+    for (auto _ : state) {
+        for (int i = 0; i < perCycle; i++) {
+            sim::EventPtr e = q.pop();
+            benchmark::DoNotOptimize(e.get());
+            q.push(std::make_unique<sim::Event>(e->time() + kPeriod, &nop));
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * perCycle);
+}
+BENCHMARK(BM_EventQueuePushPopCycleAligned)->Arg(16)->Arg(256);
+
+void
 runEngineThroughput(benchmark::State &state, bool concurrent)
 {
     for (auto _ : state) {
@@ -601,6 +630,42 @@ BM_PortSendDeliver(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_PortSendDeliver)->ArgName("threaded")->Arg(0)->Arg(1);
+
+void
+BM_PortSendRejected(benchmark::State &state)
+{
+    // The Busy path, which most sends of a fig7 kernel take: the
+    // destination's one slot is booked, so every send books nothing,
+    // registers (or finds) its sender on the port and returns Busy.
+    sim::SerialEngine eng;
+    class Sink : public sim::Component
+    {
+      public:
+        Sink(sim::Engine *e, const std::string &name, std::size_t cap)
+            : Component(e, name)
+        {
+            in = addPort("In", cap);
+        }
+        sim::Port *in;
+    } src(&eng, "Src", 4), dst(&eng, "Dst", 1);
+
+    sim::DirectConnection conn(&eng, "Conn", 0);
+    conn.plugIn(src.in);
+    conn.plugIn(dst.in);
+
+    auto fill = sim::makeMsg<sim::Msg>();
+    fill->dst = dst.in;
+    if (src.in->send(fill) != sim::SendStatus::Ok)
+        state.SkipWithError("could not book the destination slot");
+    auto m = sim::makeMsg<sim::Msg>();
+    m->dst = dst.in;
+    for (auto _ : state) {
+        for (int i = 0; i < 64; i++)
+            benchmark::DoNotOptimize(src.in->send(m));
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_PortSendRejected);
 
 } // namespace
 

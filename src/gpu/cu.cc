@@ -120,7 +120,7 @@ ComputeUnit::execute()
         wf.pc++;
         wf.primed = false;
         memIssued++;
-        memReqsIssued_.fetch_add(1, std::memory_order_relaxed);
+        memReqsIssued_.inc();
         progress = true;
     }
 
@@ -155,7 +155,7 @@ ComputeUnit::finishWavefront(std::uint64_t uid)
         return;
     if (--wit->second == 0) {
         wgRemaining_.erase(wit);
-        completedWGs_.fetch_add(1, std::memory_order_relaxed);
+        completedWGs_.inc();
         doneWgQueue_.push_back(wg);
     }
 }
@@ -180,7 +180,7 @@ ComputeUnit::acceptWorkGroups()
         cpPort_ = msg->src;
         if (wfCount == 0) {
             // Degenerate work-group: nothing to run, complete at once.
-            completedWGs_.fetch_add(1, std::memory_order_relaxed);
+            completedWGs_.inc();
             doneWgQueue_.push_back(map->wgId);
             ctrlPort_->retrieveIncoming();
             progress = true;

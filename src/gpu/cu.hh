@@ -6,12 +6,12 @@
 #ifndef AKITA_GPU_CU_HH
 #define AKITA_GPU_CU_HH
 
-#include <atomic>
 #include <unordered_map>
 #include <vector>
 
 #include "gpu/protocol.hh"
 #include "mem/msg.hh"
+#include "metrics/instrument.hh"
 #include "sim/component.hh"
 
 namespace akita
@@ -71,14 +71,14 @@ class ComputeUnit : public sim::TickingComponent
     std::uint64_t
     completedWGs() const
     {
-        return completedWGs_.load(std::memory_order_relaxed);
+        return completedWGs_.value();
     }
 
     /** Memory requests issued toward the L1 pipeline. Thread-safe. */
     std::uint64_t
     memReqsIssued() const
     {
-        return memReqsIssued_.load(std::memory_order_relaxed);
+        return memReqsIssued_.value();
     }
 
   private:
@@ -113,8 +113,8 @@ class ComputeUnit : public sim::TickingComponent
     sim::Port *cpPort_ = nullptr;
     std::vector<std::uint32_t> doneWgQueue_;
 
-    std::atomic<std::uint64_t> completedWGs_{0};
-    std::atomic<std::uint64_t> memReqsIssued_{0};
+    metrics::Counter completedWGs_;
+    metrics::Counter memReqsIssued_;
 };
 
 } // namespace gpu

@@ -54,11 +54,11 @@ Directory::lookup(std::uint64_t addr)
 {
     Way *w = findWay(addr);
     if (w == nullptr) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        misses_.inc();
         return false;
     }
     w->lastUse = ++useClock_;
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    hits_.inc();
     return true;
 }
 

@@ -7,13 +7,13 @@
 #ifndef AKITA_MEM_CACHE_HH
 #define AKITA_MEM_CACHE_HH
 
-#include <atomic>
 #include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "mem/addr.hh"
 #include "mem/msg.hh"
+#include "metrics/instrument.hh"
 #include "sim/component.hh"
 
 namespace akita
@@ -64,18 +64,19 @@ class Directory
 
     std::uint64_t lineSize() const { return lineSize_; }
 
-    /** Hit/miss counters are atomics so the metrics sampler can read
-     * them from its own thread without the engine lock. */
+    /** Hit/miss counters are owner-written metrics::Counters, so the
+     * metrics sampler can read them from its own thread without the
+     * engine lock. */
     std::uint64_t
     hits() const
     {
-        return hits_.load(std::memory_order_relaxed);
+        return hits_.value();
     }
 
     std::uint64_t
     misses() const
     {
-        return misses_.load(std::memory_order_relaxed);
+        return misses_.value();
     }
 
   private:
@@ -96,8 +97,8 @@ class Directory
     std::uint64_t lineSize_;
     std::vector<std::vector<Way>> sets_;
     std::uint64_t useClock_ = 0;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
+    metrics::Counter hits_;
+    metrics::Counter misses_;
 };
 
 /**

@@ -44,9 +44,9 @@ DramController::tick()
             continue;
         }
         if (it->req->isWrite)
-            writes_.fetch_add(1, std::memory_order_relaxed);
+            writes_.inc();
         else
-            reads_.fetch_add(1, std::memory_order_relaxed);
+            reads_.inc();
         it = queue_.erase(it);
         progress = true;
     }

@@ -6,10 +6,10 @@
 #ifndef AKITA_MEM_DRAM_HH
 #define AKITA_MEM_DRAM_HH
 
-#include <atomic>
 #include <deque>
 
 #include "mem/msg.hh"
+#include "metrics/instrument.hh"
 #include "sim/component.hh"
 
 namespace akita
@@ -49,13 +49,13 @@ class DramController : public sim::TickingComponent
     std::uint64_t
     totalReads() const
     {
-        return reads_.load(std::memory_order_relaxed);
+        return reads_.value();
     }
 
     std::uint64_t
     totalWrites() const
     {
-        return writes_.load(std::memory_order_relaxed);
+        return writes_.value();
     }
 
   private:
@@ -69,8 +69,8 @@ class DramController : public sim::TickingComponent
     Config cfg_;
     sim::Port *topPort_;
     std::deque<InFlight> queue_;
-    std::atomic<std::uint64_t> reads_{0};
-    std::atomic<std::uint64_t> writes_{0};
+    metrics::Counter reads_;
+    metrics::Counter writes_;
 };
 
 } // namespace mem

@@ -100,7 +100,7 @@ RdmaEngine::processInside()
             if (toOutside_->send(req) != sim::SendStatus::Ok)
                 break;
             outgoing_[req->id()] = returnTo;
-            forwardedOut_.fetch_add(1, std::memory_order_relaxed);
+            forwardedOut_.inc();
             toInside_->retrieveIncoming();
             progress = true;
             continue;
@@ -154,7 +154,7 @@ RdmaEngine::processOutside()
             if (toInside_->send(req) != sim::SendStatus::Ok)
                 break;
             incoming_[req->id()] = origin;
-            forwardedIn_.fetch_add(1, std::memory_order_relaxed);
+            forwardedIn_.inc();
             toOutside_->retrieveIncoming();
             progress = true;
             continue;

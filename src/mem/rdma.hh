@@ -6,12 +6,12 @@
 #ifndef AKITA_MEM_RDMA_HH
 #define AKITA_MEM_RDMA_HH
 
-#include <atomic>
 #include <functional>
 #include <unordered_map>
 
 #include "mem/addr.hh"
 #include "mem/msg.hh"
+#include "metrics/instrument.hh"
 #include "sim/component.hh"
 
 namespace akita
@@ -93,14 +93,14 @@ class RdmaEngine : public sim::TickingComponent
     std::uint64_t
     totalForwardedOut() const
     {
-        return forwardedOut_.load(std::memory_order_relaxed);
+        return forwardedOut_.value();
     }
 
     /** Remote requests serviced locally. Thread-safe. */
     std::uint64_t
     totalForwardedIn() const
     {
-        return forwardedIn_.load(std::memory_order_relaxed);
+        return forwardedIn_.value();
     }
 
   private:
@@ -122,8 +122,8 @@ class RdmaEngine : public sim::TickingComponent
     /** reqId -> remote RDMA port awaiting our local response. */
     std::unordered_map<std::uint64_t, sim::Port *> incoming_;
 
-    std::atomic<std::uint64_t> forwardedOut_{0};
-    std::atomic<std::uint64_t> forwardedIn_{0};
+    metrics::Counter forwardedOut_;
+    metrics::Counter forwardedIn_;
 };
 
 } // namespace mem

@@ -24,14 +24,24 @@ namespace akita
 namespace metrics
 {
 
-/** A monotonically increasing event count. */
+/**
+ * A monotonically increasing event count with one writing thread.
+ *
+ * Only the thread that owns the counted object may call inc() (the
+ * simulation thread, or the domain worker owning a port or buffer;
+ * DESIGN.md §8); any thread may read value(). inc() is a relaxed
+ * load+store, which compiles to plain MOVs instead of fetch_add's
+ * lock-prefixed RMW; the atomic type keeps readers race-free. Two
+ * concurrent writers would lose counts.
+ */
 class Counter
 {
   public:
     void
     inc(std::uint64_t n = 1)
     {
-        v_.fetch_add(n, std::memory_order_relaxed);
+        v_.store(v_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
     }
 
     std::uint64_t

@@ -43,14 +43,14 @@ SwitchedNetwork::plugIn(sim::Port *port)
 }
 
 sim::SendStatus
-SwitchedNetwork::send(sim::MsgPtr msg)
+SwitchedNetwork::send(sim::Msg &msg)
 {
-    sim::Port *dst = msg->dst;
+    sim::Port *dst = msg.dst;
     if (dst->connection() != this) {
         throw std::runtime_error("network " + name_ +
                                  " cannot reach port " + dst->fullName());
     }
-    if (dst->reserve(msg->src != nullptr ? msg->src->owner() : nullptr) !=
+    if (dst->reserve(msg.src != nullptr ? msg.src->owner() : nullptr) !=
         sim::SendStatus::Ok)
         return sim::SendStatus::Busy;
 
@@ -61,17 +61,17 @@ SwitchedNetwork::send(sim::MsgPtr msg)
         sim::VTime &freeAt = linkFreeAt_[dst];
         sim::VTime start = std::max(now, freeAt);
         auto serialize = static_cast<sim::VTime>(
-            static_cast<double>(msg->trafficBytes) * psPerByte_);
+            static_cast<double>(msg.trafficBytes) * psPerByte_);
         done = start + std::max<sim::VTime>(serialize, 1);
         freeAt = done;
-        totalBytes_ += msg->trafficBytes;
+        totalBytes_ += msg.trafficBytes;
         totalMsgs_++;
     }
     inFlight_.fetch_add(1, std::memory_order_relaxed);
-    msg->sendTime = now;
+    msg.sendTime = now;
 
     engine_->schedule(std::make_unique<sim::DeliverEvent>(
-        done + cfg_.latency, this, std::move(msg)));
+        done + cfg_.latency, this, sim::MsgPtr(&msg)));
     return sim::SendStatus::Ok;
 }
 

@@ -65,7 +65,7 @@ class SwitchedNetwork : public sim::Connection,
     }
 
     void plugIn(sim::Port *port) override;
-    sim::SendStatus send(sim::MsgPtr msg) override;
+    sim::SendStatus send(sim::Msg &msg) override;
 
     sim::VTime minLatency() const override { return cfg_.latency; }
 

@@ -95,10 +95,10 @@ TickingComponent::handle(Event &)
     lastTickAt_ = now;
     everTicked_ = true;
 
-    totalTicks_.fetch_add(1, std::memory_order_relaxed);
+    totalTicks_.inc();
     bool progress = tick();
     if (progress) {
-        progressTicks_.fetch_add(1, std::memory_order_relaxed);
+        progressTicks_.inc();
         tickLater();
     }
     // No progress: stay asleep until wake() or an armed deadline tick.

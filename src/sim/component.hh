@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "introspect/field.hh"
+#include "metrics/instrument.hh"
 #include "sim/engine.hh"
 #include "sim/port.hh"
 
@@ -171,16 +172,10 @@ class TickingComponent : public Component, public EventHandler
     }
 
     /** Total ticks executed. */
-    std::uint64_t totalTicks() const
-    {
-        return totalTicks_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t totalTicks() const { return totalTicks_.value(); }
 
     /** Ticks that reported progress. */
-    std::uint64_t progressTicks() const
-    {
-        return progressTicks_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t progressTicks() const { return progressTicks_.value(); }
 
   private:
     Freq freq_;
@@ -198,8 +193,8 @@ class TickingComponent : public Component, public EventHandler
     /** Cycle of the most recent executed tick (handler-only). */
     VTime lastTickAt_ = 0;
     bool everTicked_ = false;
-    std::atomic<std::uint64_t> totalTicks_{0};
-    std::atomic<std::uint64_t> progressTicks_{0};
+    metrics::Counter totalTicks_;
+    metrics::Counter progressTicks_;
 };
 
 } // namespace sim

@@ -28,24 +28,25 @@ DirectConnection::plugIn(Port *port)
 }
 
 SendStatus
-DirectConnection::send(MsgPtr msg)
+DirectConnection::send(Msg &msg)
 {
-    Port *dst = msg->dst;
+    Port *dst = msg.dst;
     if (dst->connection() != this) {
         throw std::runtime_error(
             "connection " + name_ + " cannot reach port " +
-            dst->fullName() + " (msg " + msg->kind() + " from " +
-            (msg->src ? msg->src->fullName() : "?") + ")");
+            dst->fullName() + " (msg " + msg.kind() + " from " +
+            (msg.src ? msg.src->fullName() : "?") + ")");
     }
-    if (dst->reserve(msg->src != nullptr ? msg->src->owner() : nullptr) !=
+    if (dst->reserve(msg.src != nullptr ? msg.src->owner() : nullptr) !=
         SendStatus::Ok)
         return SendStatus::Busy;
-    msg->sendTime = engine_->now();
+    msg.sendTime = engine_->now();
 
     // A typed pooled event owns the message until delivery: no lambda,
-    // no std::function allocation, no per-message name build.
+    // no std::function allocation, no per-message name build. Its
+    // reference is the only one a send takes.
     engine_->schedule(std::make_unique<DeliverEvent>(
-        engine_->now() + latency_, this, std::move(msg)));
+        engine_->now() + latency_, this, MsgPtr(&msg)));
     return SendStatus::Ok;
 }
 

@@ -61,10 +61,14 @@ class Connection
      * Attempts to transmit; called by Port::send on the sender's
      * thread. Books the destination slot with Port::reserve.
      *
+     * Borrows @p msg: only on success does the connection take a
+     * reference, into the delivery event. A Busy return leaves the
+     * refcount untouched.
+     *
      * @return Busy when the destination (or the connection itself)
      *         cannot accept the message now.
      */
-    virtual SendStatus send(MsgPtr msg) = 0;
+    virtual SendStatus send(Msg &msg) = 0;
 
     /**
      * Lower bound on the delivery latency of any message this
@@ -124,7 +128,7 @@ class DirectConnection : public Connection, public EventHandler
     }
 
     void plugIn(Port *port) override;
-    SendStatus send(MsgPtr msg) override;
+    SendStatus send(Msg &msg) override;
 
     VTime minLatency() const override { return latency_; }
 

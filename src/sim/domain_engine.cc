@@ -523,10 +523,7 @@ DomainEngine::schedule(EventPtr event)
             VTime c = d->clock.load(std::memory_order_relaxed);
             if (event->time() < c)
                 throwPast(event->time(), c);
-            // Single writer (this worker): load+store, no locked RMW.
-            d->sched.store(
-                d->sched.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+            d->sched.inc();
             pending_.fetch_add(1, std::memory_order_acq_rel);
             d->queue.push(std::move(event));
             d->qlen.store(d->queue.size(), std::memory_order_relaxed);
@@ -543,16 +540,11 @@ DomainEngine::schedule(EventPtr event)
         if (r != nullptr &&
             r->spillIssued.load(std::memory_order_relaxed) ==
                 r->spillAck.load(std::memory_order_acquire)) {
-            src->sched.store(
-                src->sched.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+            src->sched.inc();
             pending_.fetch_add(1, std::memory_order_acq_rel);
             const VTime stamp = event->time();
             if (r->ring.tryPush(event)) {
-                src->fastPushed.store(
-                    src->fastPushed.load(std::memory_order_relaxed) +
-                        1,
-                    std::memory_order_relaxed);
+                src->fastPushed.inc();
                 // Wake the consumer only if the event is executable
                 // under the window our *published* horizon already
                 // grants it (stamp <= horizon + lookahead). Anything
@@ -665,9 +657,8 @@ DomainEngine::queueLength() const
         // From a handler: pending_ settles once per batch, so it still
         // counts the running event and the ones this batch already ran.
         const auto *d = static_cast<const Dom *>(tlsDom.dom);
-        n -= static_cast<std::int64_t>(
-                 d->events.load(std::memory_order_relaxed) -
-                 d->batchBase) +
+        n -= static_cast<std::int64_t>(d->events.value() -
+                                       d->batchBase) +
              1;
     }
     return n < 0 ? 0 : static_cast<std::size_t>(n);
@@ -886,10 +877,8 @@ DomainEngine::executeEvent(Dom &d, Event &event)
                 : 1;
         noteCost(d, event, units);
     }
-    // Single writer per domain: load+store beats fetch_add. The
-    // shared totalEvents_ counter settles once per batch instead.
-    d.events.store(d.events.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
+    // The shared totalEvents_ counter settles once per batch instead.
+    d.events.inc();
 }
 
 void
@@ -899,7 +888,7 @@ DomainEngine::executeBatch(Dom &d, VTime bound)
     int n = 0;
     int done = 0;
     VTime last = 0;
-    d.batchBase = d.events.load(std::memory_order_relaxed);
+    d.batchBase = d.events.value();
     // The horizon raise, neighbor wake, and global counters settle
     // once per batch, not once per event. Safety is the §15 ordering
     // argument: every output of the batch was enqueued (ring-tail /
@@ -1523,7 +1512,7 @@ DomainEngine::domainStatus(int d) const
     const Dom &dm = *doms_[d];
     s.clock = dm.clock.load(std::memory_order_relaxed);
     s.horizon = horizons_[dm.id].v.load(std::memory_order_relaxed);
-    s.events = dm.events.load(std::memory_order_relaxed);
+    s.events = dm.events.value();
     std::size_t inFlight = 0;
     std::size_t cap = 0;
     {

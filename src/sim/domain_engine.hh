@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "metrics/instrument.hh"
 #include "sim/domain.hh"
 #include "sim/engine.hh"
 #include "sim/spsc.hh"
@@ -139,7 +140,7 @@ class DomainEngine : public Engine
             totalScheduled_.load(std::memory_order_relaxed);
         if (partitioned_.load(std::memory_order_acquire))
             for (const auto &d : doms_)
-                n += d->sched.load(std::memory_order_relaxed);
+                n += d->sched.value();
         return n;
     }
 
@@ -393,7 +394,7 @@ class DomainEngine : public Engine
         std::uint64_t n = 0;
         if (partitioned_.load(std::memory_order_acquire))
             for (const auto &d : doms_)
-                n += d->fastPushed.load(std::memory_order_relaxed);
+                n += d->fastPushed.value();
         return n;
     }
 
@@ -468,14 +469,15 @@ class DomainEngine : public Engine
         EventQueue queue;
         /** Time of the last executed event (handlers' now()). */
         std::atomic<VTime> clock{0};
-        std::atomic<std::uint64_t> events{0};
+        /** Events executed by this worker (single-writer). */
+        metrics::Counter events;
         /** `events` when the running batch began (worker-only). */
         std::uint64_t batchBase = 0;
-        /** Events scheduled by this worker (single-writer: load+store
-         * instead of a locked RMW on a shared engine counter). */
-        std::atomic<std::uint64_t> sched{0};
+        /** Events scheduled by this worker (single-writer, instead of
+         * a locked RMW on a shared engine counter). */
+        metrics::Counter sched;
         /** Ring pushes issued by this worker (single-writer). */
-        std::atomic<std::uint64_t> fastPushed{0};
+        metrics::Counter fastPushed;
         /** queue.size() mirror for external readers. */
         std::atomic<std::size_t> qlen{0};
         /** Incoming cross-domain edges (the safe-window scan). */

@@ -54,7 +54,7 @@ SerialEngine::schedule(EventPtr event)
                 std::to_string(event->time()) +
                 ", now=" + std::to_string(now()) + ")");
         }
-        totalScheduled_.fetch_add(1, std::memory_order_relaxed);
+        totalScheduled_.inc();
         queue_.push(std::move(event));
         // Only a drained run loop waits for new events, and it sets
         // drainedWaiting_ under mu_, which we hold: a false read here
@@ -68,7 +68,7 @@ SerialEngine::schedule(EventPtr event)
                 std::to_string(event->time()) +
                 ", now=" + std::to_string(now()) + ")");
         }
-        totalScheduled_.fetch_add(1, std::memory_order_relaxed);
+        totalScheduled_.inc();
         queue_.push(std::move(event));
     }
 }
@@ -146,13 +146,7 @@ SerialEngine::executeEvent(Event &event)
         event.handler()->handle(event);
     }
     invokeHook(hookPosAfterEvent, &event);
-    // Single-writer counter (only the sim thread executes events in
-    // the serial engine): a load+store pair compiles to plain MOVs,
-    // unlike fetch_add's lock-prefixed RMW, and stays readable from
-    // monitor threads, which only ever load it.
-    totalEvents_.store(
-        totalEvents_.load(std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
+    totalEvents_.inc();
 }
 
 RunResult

@@ -13,6 +13,7 @@
 #include <stdexcept>
 
 #include "introspect/field.hh"
+#include "metrics/instrument.hh"
 #include "sim/event.hh"
 #include "sim/hook.hh"
 #include "sim/time.hh"
@@ -216,13 +217,13 @@ class SerialEngine : public Engine
     std::uint64_t
     eventCount() const override
     {
-        return totalEvents_.load(std::memory_order_relaxed);
+        return totalEvents_.value();
     }
 
     std::uint64_t
     scheduledCount() const override
     {
-        return totalScheduled_.load(std::memory_order_relaxed);
+        return totalScheduled_.value();
     }
 
     void setConcurrentAccess(bool on) override { concurrent_ = on; }
@@ -283,8 +284,13 @@ class SerialEngine : public Engine
 
     EventQueue queue_;
     std::atomic<VTime> now_{0};
-    std::atomic<std::uint64_t> totalEvents_{0};
-    std::atomic<std::uint64_t> totalScheduled_{0};
+    /** Written only by the sim thread. */
+    metrics::Counter totalEvents_;
+    /**
+     * Written by schedule(): under mu_ in concurrent mode, else by the
+     * one thread a non-concurrent engine allows.
+     */
+    metrics::Counter totalScheduled_;
 
     bool concurrent_ = false;
     bool waitWhenEmpty_ = false;

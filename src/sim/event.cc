@@ -11,25 +11,34 @@ void
 EventQueue::push(EventPtr event)
 {
     VTime t = event->time();
-    auto it = buckets_.find(t);
-    if (it == buckets_.end()) {
-        if (!spareNodes_.empty()) {
-            // Reuse a drained node: the rehash-free insert keeps the
-            // bucket's vector capacity from its previous life.
-            auto nh = std::move(spareNodes_.back());
-            spareNodes_.pop_back();
-            nh.key() = t;
-            it = buckets_.insert(std::move(nh)).position;
-        } else {
-            it = buckets_.try_emplace(t).first;
+    Bucket *b;
+    if (pushBucket_ != nullptr && pushTime_ == t) {
+        b = pushBucket_;
+    } else if (front_ != nullptr && frontTime_ == t) {
+        b = front_;
+    } else {
+        auto it = buckets_.find(t);
+        if (it == buckets_.end()) {
+            if (!spareNodes_.empty()) {
+                // Reuse a drained node: the rehash-free insert keeps the
+                // bucket's vector capacity from its previous life.
+                auto nh = std::move(spareNodes_.back());
+                spareNodes_.pop_back();
+                nh.key() = t;
+                it = buckets_.insert(std::move(nh)).position;
+            } else {
+                it = buckets_.try_emplace(t).first;
+            }
         }
+        b = &it->second;
     }
-    Bucket &b = it->second;
-    bool wasLive = b.live();
+    pushBucket_ = b;
+    pushTime_ = t;
+    bool wasLive = b->live();
     if (event->isSecondary())
-        b.secondary.push_back(std::move(event));
+        b->secondary.push_back(std::move(event));
     else
-        b.primary.push_back(std::move(event));
+        b->primary.push_back(std::move(event));
     if (!wasLive) {
         // Invariant: the heap holds every live timestamp at least once.
         // Re-pushing a timestamp whose stale entry is still queued only
@@ -37,6 +46,8 @@ EventQueue::push(EventPtr event)
         timesHeap_.push_back(t);
         std::push_heap(timesHeap_.begin(), timesHeap_.end(),
                        std::greater<VTime>());
+        if (front_ != nullptr && t < frontTime_)
+            front_ = nullptr; // A new earliest time.
     }
     size_++;
 }
@@ -44,15 +55,27 @@ EventQueue::push(EventPtr event)
 EventQueue::Bucket *
 EventQueue::frontBucket() const
 {
+    // A cached front stays the earliest live bucket: every push that
+    // makes an earlier time live clears it.
+    if (front_ != nullptr && front_->live())
+        return front_;
+    front_ = nullptr;
     while (!timesHeap_.empty()) {
         VTime t = timesHeap_.front();
         auto it = buckets_.find(t);
-        if (it != buckets_.end() && it->second.live())
-            return &it->second;
+        if (it != buckets_.end() && it->second.live()) {
+            front_ = &it->second;
+            frontTime_ = t;
+            return front_;
+        }
         std::pop_heap(timesHeap_.begin(), timesHeap_.end(),
                       std::greater<VTime>());
         timesHeap_.pop_back();
         if (it != buckets_.end() && !it->second.live()) {
+            // The node leaves the map and may come back under another
+            // time: a cached pointer to it would file pushes there.
+            if (pushBucket_ == &it->second)
+                pushBucket_ = nullptr;
             auto nh = buckets_.extract(it);
             if (spareNodes_.size() < kMaxSpareNodes) {
                 Bucket &b = nh.mapped();
@@ -70,9 +93,8 @@ EventQueue::frontBucket() const
 VTime
 EventQueue::peekTime() const
 {
-    Bucket *b = frontBucket();
-    return b->livePrimary() ? b->primary[b->primaryHead]->time()
-                            : b->secondary[b->secondaryHead]->time();
+    frontBucket();
+    return frontTime_;
 }
 
 EventPtr

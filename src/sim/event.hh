@@ -152,9 +152,15 @@ class FuncEvent : public Event, public EventHandler
  * Two-level structure replacing the former single binary heap. Events
  * land in per-timestamp buckets (append-only vectors, one for each
  * phase), and a small min-heap orders only the *distinct* live
- * timestamps. Pushing costs one hash lookup and a vector append —
- * co-timed events (the common case in cycle-aligned simulations) never
- * pay a per-event heap sift.
+ * timestamps. Pushing costs at most one hash lookup and a vector
+ * append — co-timed events (the common case in cycle-aligned
+ * simulations) never pay a per-event heap sift.
+ *
+ * Two cached bucket pointers skip even the hash lookup on the common
+ * paths: the bucket of the last push time (a cycle's components all
+ * tick at now + period) and the front bucket (every pop). Map nodes
+ * are stable in memory, so the pointers stay valid until frontBucket()
+ * extracts a drained node, which clears any cached pointer to it.
  *
  * Drained buckets are recycled: the map node and the vectors' capacity
  * survive in a small spare list instead of being freed, so a
@@ -208,7 +214,7 @@ class EventQueue
 
     /**
      * Bucket of the earliest live time, pruning drained heap entries;
-     * nullptr when the queue is empty.
+     * nullptr when the queue is empty. Sets front_ and frontTime_.
      */
     Bucket *frontBucket() const;
 
@@ -217,6 +223,15 @@ class EventQueue
 
     // Mutable: peekTime() lazily prunes drained timestamps.
     mutable BucketMap buckets_;
+    /** Bucket of the last push time; nullptr when unknown. */
+    mutable Bucket *pushBucket_ = nullptr;
+    mutable VTime pushTime_ = 0;
+    /**
+     * Bucket of the earliest live time; nullptr when unknown. A push
+     * earlier than frontTime_ clears it.
+     */
+    mutable Bucket *front_ = nullptr;
+    mutable VTime frontTime_ = 0;
     /** Min-heap (std::greater) of live timestamps; may hold stale dups. */
     mutable std::vector<VTime> timesHeap_;
     /** Drained map nodes kept for reuse (capacity preserved). */

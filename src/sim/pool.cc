@@ -6,6 +6,8 @@
 #include <new>
 #include <vector>
 
+#include "metrics/instrument.hh"
+
 namespace akita
 {
 namespace sim
@@ -41,31 +43,6 @@ struct FreeNode
     FreeNode *next;
 };
 
-/**
- * Owner-thread-only counter readable from other threads: a plain
- * load+store pair compiles to ordinary MOVs (no lock prefix), and the
- * atomic type keeps cross-thread readers TSan-clean.
- */
-class OwnerCounter
-{
-  public:
-    void
-    inc(std::uint64_t by = 1)
-    {
-        v_.store(v_.load(std::memory_order_relaxed) + by,
-                 std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return v_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> v_{0};
-};
-
 struct ThreadPool
 {
     FreeNode *free[kNumClasses] = {};
@@ -76,10 +53,11 @@ struct ThreadPool
     /** Cross-thread return stack (Treiber push, drain-all pop). */
     std::atomic<FreeNode *> remote{nullptr};
 
-    OwnerCounter allocs;
-    OwnerCounter frees;
-    OwnerCounter oversize;
-    OwnerCounter slabBytes;
+    // Owner-thread writers only; stats readers load them.
+    metrics::Counter allocs;
+    metrics::Counter frees;
+    metrics::Counter oversize;
+    metrics::Counter slabBytes;
     /** Pushed by remote threads; the only contended counter. */
     std::atomic<std::uint64_t> remoteFrees{0};
 };

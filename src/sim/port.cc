@@ -21,27 +21,27 @@ Port::Port(Component *owner, std::string name, std::size_t buf_capacity)
 }
 
 SendStatus
-Port::send(MsgPtr msg)
+Port::sendMsg(Msg &msg)
 {
     if (conn_ == nullptr) {
         throw std::runtime_error("port " + fullName_ +
                                  " is not plugged into a connection");
     }
-    if (msg->dst == nullptr) {
+    if (msg.dst == nullptr) {
         throw std::runtime_error("message sent from " + fullName_ +
                                  " has no destination");
     }
     // Restore the previous source on failure: components that forward a
     // buffered message retry later and must still see the original
     // sender when they re-peek it.
-    Port *prevSrc = msg->src;
-    msg->src = this;
-    SendStatus st = conn_->send(msg); // Keep a local ref across the call.
+    Port *prevSrc = msg.src;
+    msg.src = this;
+    SendStatus st = conn_->send(msg);
     if (st == SendStatus::Ok) {
         totalSent_.inc();
-        totalSentBytes_.inc(msg->trafficBytes);
+        totalSentBytes_.inc(msg.trafficBytes);
     } else {
-        msg->src = prevSrc;
+        msg.src = prevSrc;
         totalRejected_.inc();
     }
     return st;
@@ -128,16 +128,17 @@ Port::releaseSlot()
     slots_.fetch_sub(1, std::memory_order_seq_cst);
     if (!hasBlocked_.load(std::memory_order_seq_cst))
         return;
-    std::vector<Component *> toWake;
     {
         std::lock_guard<std::mutex> lk(blockedMu_);
-        toWake.swap(blocked_);
+        waking_.swap(blocked_);
         hasBlocked_.store(false, std::memory_order_relaxed);
     }
     // Wake outside the lock: wakeComponent re-enters the engine, which
-    // takes its own locks to post a wake to another thread.
-    for (Component *c : toWake)
+    // takes its own locks to post a wake to another thread. It only
+    // schedules a tick, so it cannot re-enter this releaseSlot().
+    for (Component *c : waking_)
         c->engine()->wakeComponent(c);
+    waking_.clear(); // Keeps the capacity for the next swap.
 }
 
 std::vector<Component *>

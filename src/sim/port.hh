@@ -74,8 +74,19 @@ class Port : public Hookable
      *
      * On Busy the sender's component is registered for a wake when the
      * destination frees space, so sleeping senders are re-ticked.
+     *
+     * Takes any message pointer (MsgPtr, MemReqPtr, ...) by reference
+     * and borrows the message: the connection retains it only into the
+     * delivery event on success, so a Busy return touches no refcount.
+     * (A `const MsgPtr &` parameter would make a converting temporary,
+     * and thus a retain/release pair, for every derived pointer.)
      */
-    SendStatus send(MsgPtr msg);
+    template <typename T>
+    SendStatus
+    send(const IntrusivePtr<T> &msg)
+    {
+        return sendMsg(*msg);
+    }
 
     /** Incoming buffer (exposed for monitoring and tests). */
     Buffer &buf() { return buf_; }
@@ -143,6 +154,8 @@ class Port : public Hookable
   private:
     friend class DomainEngine;
 
+    SendStatus sendMsg(Msg &msg);
+
     /** The bounded CAS on slots_; false when the buffer is booked up. */
     bool tryReserve();
 
@@ -166,6 +179,11 @@ class Port : public Hookable
      * varies across platform instantiations.
      */
     std::vector<Component *> blocked_;
+    /**
+     * Owner-only scratch list releaseSlot() wakes from, outside the
+     * lock. It and blocked_ trade buffers, so a wake allocates nothing.
+     */
+    std::vector<Component *> waking_;
     metrics::Counter totalSent_;
     metrics::Counter totalRejected_;
     metrics::Counter totalSentBytes_;

@@ -11,7 +11,10 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <random>
+#include <set>
 #include <thread>
+#include <tuple>
 
 #include "sim/component.hh"
 #include "sim/engine.hh"
@@ -386,6 +389,124 @@ TEST(EventQueue, SecondaryAfterPrimaryWithInterleavedPushes)
     }
     EXPECT_EQ(order, (std::vector<std::string>{"p0", "p1", "p2", "s0",
                                                "s1"}));
+}
+
+namespace
+{
+
+/** An event tagged with its push order. */
+class SeqEvent : public Event
+{
+  public:
+    SeqEvent(VTime t, EventHandler *h, bool secondary, std::uint64_t seq)
+        : Event(t, h, secondary), seq(seq)
+    {
+    }
+
+    std::uint64_t seq;
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesStableSortReferenceUnderRandomOps)
+{
+    // Differential test of the cached push and front buckets against
+    // the reference order, a stable sort on (time, phase, push order).
+    // The op mix aims at the caches' edges: pushes earlier than the
+    // cached front; pushes to a timestamp whose bucket has just drained
+    // (and may have been extracted by a peek); repeat pushes at the
+    // last push time; and drains of well over 64 distinct timestamps,
+    // the spare-node cap, so extracted nodes are both recycled under
+    // new times and freed.
+    Recorder r;
+    using Key = std::tuple<VTime, bool, std::uint64_t>;
+    std::size_t maxLiveTimes = 0;
+    for (std::uint64_t seed = 1; seed <= 20; seed++) {
+        std::mt19937_64 rng(seed);
+        EventQueue q;
+        std::set<Key> ref;
+        std::uint64_t seq = 0;
+        VTime lastPush = 0;
+        VTime lastPop = 0;
+        auto push = [&](VTime t) {
+            bool secondary = rng() % 4 == 0;
+            q.push(std::make_unique<SeqEvent>(t, &r, secondary, seq));
+            ref.emplace(t, secondary, seq++);
+            lastPush = t;
+        };
+        auto pop = [&]() {
+            ASSERT_FALSE(q.empty());
+            Key want = *ref.begin();
+            ref.erase(ref.begin());
+            EventPtr e = q.pop();
+            ASSERT_EQ(static_cast<SeqEvent &>(*e).seq, std::get<2>(want))
+                << "seed " << seed;
+            ASSERT_EQ(e->time(), std::get<0>(want));
+            ASSERT_EQ(q.size(), ref.size());
+            lastPop = e->time();
+        };
+        for (int round = 0; round < 30; round++) {
+            // Grow: mostly pushes, over many distinct timestamps.
+            for (int op = 0; op < 300; op++) {
+                VTime front =
+                    ref.empty() ? lastPop : std::get<0>(*ref.begin());
+                switch (rng() % 8) {
+                case 0:
+                    push(lastPush);
+                    break;
+                case 1:
+                    push(lastPop);
+                    break;
+                case 2: // Earlier than the (cached) front.
+                    push(front > 3 ? front - 1 - rng() % 3 : front);
+                    break;
+                case 3: // Cycle-aligned, as ticks at now + period.
+                    push(front + 1000 * (1 + rng() % 2));
+                    break;
+                case 4:
+                    push(front + rng() % 500);
+                    break;
+                case 5:
+                    if (!q.empty()) {
+                        ASSERT_EQ(q.peekTime(), front);
+                    }
+                    break;
+                default:
+                    if (!ref.empty())
+                        pop();
+                    break;
+                }
+                if (HasFatalFailure())
+                    return;
+            }
+            std::set<VTime> live;
+            for (const Key &k : ref)
+                live.insert(std::get<0>(k));
+            maxLiveTimes = std::max(maxLiveTimes, live.size());
+            // Drain: mostly pops, down to empty, so every bucket is
+            // extracted; the few pushes land on just-drained times.
+            while (!ref.empty()) {
+                switch (rng() % 10) {
+                case 0:
+                    push(lastPop);
+                    break;
+                case 1:
+                    push(lastPush);
+                    break;
+                case 2:
+                    ASSERT_EQ(q.peekTime(), std::get<0>(*ref.begin()));
+                    break;
+                default:
+                    pop();
+                    break;
+                }
+                if (HasFatalFailure())
+                    return;
+            }
+            ASSERT_TRUE(q.empty());
+        }
+    }
+    EXPECT_GT(maxLiveTimes, 64u); // The drains overflowed the spare list.
 }
 
 // ---- Satellite fixes: schedule() race and withLock() starvation ----

@@ -274,6 +274,96 @@ TEST(Port, FailedSendRestoresSource)
     EXPECT_EQ(m->src, b.in); // Restored, not clobbered to a.in.
 }
 
+namespace
+{
+
+/** Counts its own destructions, to catch a refcount slip. */
+class CountedMsg : public Msg
+{
+  public:
+    explicit CountedMsg(int *destroyed) : destroyed_(destroyed) {}
+
+    ~CountedMsg() override { ++*destroyed_; }
+
+  private:
+    int *destroyed_;
+};
+
+/** A Node that counts wake() calls. */
+class WakeCountingNode : public Node
+{
+  public:
+    using Node::Node;
+
+    void
+    wake() override
+    {
+        wakes++;
+        Node::wake();
+    }
+
+    int wakes = 0;
+};
+
+} // namespace
+
+TEST(Port, RepeatedBusySendsRegisterOnceAndDeliverOnce)
+{
+    // A sender retrying against a full port: every rejection restores
+    // src and is counted, the sender is registered once and woken once,
+    // and the message is delivered once and freed once.
+    SerialEngine eng;
+    WakeCountingNode a(&eng, "A", 4);
+    Node b(&eng, "B", 4), c(&eng, "C", 1);
+    DirectConnection conn(&eng, "Conn", kNanosecond);
+    conn.plugIn(a.in);
+    conn.plugIn(b.in);
+    conn.plugIn(c.in);
+    c.drainPerTick = 0; // The test retrieves from C by hand.
+
+    MsgPtr fill = mkMsg(0);
+    fill->dst = c.in;
+    ASSERT_EQ(a.in->send(fill), SendStatus::Ok);
+
+    int destroyed = 0;
+    MsgPtr m = makeMsg<CountedMsg>(&destroyed);
+    m->src = b.in; // Simulates "received from B".
+    m->dst = c.in;
+    constexpr int kTries = 5;
+    for (int i = 0; i < kTries; i++) {
+        ASSERT_EQ(a.in->send(m), SendStatus::Busy);
+        EXPECT_EQ(m->src, b.in);
+        EXPECT_EQ(a.in->totalSendRejections(),
+                  static_cast<std::uint64_t>(i + 1));
+    }
+    EXPECT_EQ(destroyed, 0);
+    EXPECT_EQ(a.in->totalSent(), 1u);
+    EXPECT_EQ(c.in->blockedSenders(), std::vector<Component *>{&a});
+
+    eng.run(); // Delivers the fill message into C's one slot.
+    ASSERT_EQ(c.in->buf().size(), 1u);
+    a.wakes = 0;
+    ASSERT_NE(c.in->retrieveIncoming(), nullptr);
+    EXPECT_EQ(a.wakes, 1);
+    EXPECT_TRUE(c.in->blockedSenders().empty());
+
+    ASSERT_EQ(a.in->send(m), SendStatus::Ok);
+    EXPECT_EQ(m->src, a.in);
+    EXPECT_EQ(a.in->totalSendRejections(),
+              static_cast<std::uint64_t>(kTries));
+    eng.run();
+    MsgPtr got = c.in->retrieveIncoming();
+    EXPECT_EQ(got, m);
+    EXPECT_EQ(c.in->retrieveIncoming(), nullptr);
+    EXPECT_EQ(c.in->totalReceived(), 2u);
+    EXPECT_EQ(a.wakes, 1); // The registration was consumed by one wake.
+
+    got = nullptr;
+    EXPECT_EQ(destroyed, 0);
+    m = nullptr;
+    EXPECT_EQ(destroyed, 1);
+}
+
 TEST(Ticking, SleepsWithoutWorkAndWakesOnDelivery)
 {
     SerialEngine eng;
