@@ -59,10 +59,10 @@ struct Rig
     {
         std::size_t bytes = 0;
         for (auto *c : mon.registry().all()) {
-            json::Json j;
-            mon.withEngineLock(
-                [&]() { j = rtm::serializeComponent(*c); });
-            bytes += j.dump().size();
+            std::string body;
+            json::Writer w(body);
+            mon.withEngineLock([&]() { rtm::writeComponent(w, *c); });
+            bytes += body.size();
         }
         return bytes;
     }
@@ -139,10 +139,10 @@ main(int argc, char **argv)
             std::size_t i = 0;
             while (!stop.load()) {
                 auto *c = components[i++ % components.size()];
-                json::Json j;
+                std::string body;
+                json::Writer w(body);
                 rig.mon.withEngineLock(
-                    [&]() { j = rtm::serializeComponent(*c); });
-                (void)j.dump();
+                    [&]() { rtm::writeComponent(w, *c); });
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(10));
             }

@@ -547,9 +547,12 @@ BM_SerializeComponent(benchmark::State &state)
         }
     } comp(&eng);
 
+    std::string body;
     for (auto _ : state) {
-        json::Json j = rtm::serializeComponent(comp);
-        benchmark::DoNotOptimize(j.dump());
+        body.clear();
+        json::Writer w(body);
+        rtm::writeComponent(w, comp);
+        benchmark::DoNotOptimize(body.data());
     }
 }
 BENCHMARK(BM_SerializeComponent);

@@ -25,6 +25,36 @@ jsonResponse(const json::Json &j)
     return web::Response::json(j.dump());
 }
 
+/** A JSON response whose body @p write streams through a Writer. */
+template <typename Fn>
+web::Response
+streamedResponse(Fn write)
+{
+    std::string body;
+    json::Writer w(body);
+    write(w);
+    return web::Response::json(std::move(body));
+}
+
+/**
+ * Response-cache TTL floor for endpoints whose generation advances
+ * continuously (/api/buffers, /metrics, metrics queries): a cached body
+ * younger than this is served even though the generation moved on, so
+ * a polling wave costs one build and staleness stays under 50 ms.
+ */
+constexpr std::uint64_t kCacheTtlFloorMs = 50;
+
+/**
+ * Cache TTL floor for /api/v1/hang. The hang verdict cannot key on the
+ * engine event count alone — during a deadlock that count freezes and
+ * a pre-hang "not hanging" body would be served forever — so the
+ * endpoint's generation also advances once per this many wall ms.
+ */
+constexpr std::uint64_t kHangTtlFloorMs = 100;
+
+/** Cache TTL floor for the /api/v1/recorder endpoints. */
+constexpr std::uint64_t kRecorderTtlFloorMs = 200;
+
 std::int64_t
 wallNowMs()
 {
@@ -81,7 +111,8 @@ installApiRoutes(web::Router &server, Monitor &monitor)
     });
 
     routeBoth("GET", "/resources", [m](const web::Request &) {
-        return jsonResponse(serializeResources(m->resources()));
+        return streamedResponse(
+            [m](json::Writer &w) { writeResources(w, m->resources()); });
     });
 
     routeBoth("GET", "/components", [m](const web::Request &req) {
@@ -107,10 +138,9 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                                         "unknown component " + name);
         // Streamed under the engine lock (fine-grained serialization:
         // one component per lock hold, same as the tree path).
-        std::string body;
-        json::Writer w(body);
-        m->withEngineLock([&]() { writeComponent(w, *c); });
-        return web::Response::json(std::move(body));
+        return streamedResponse([m, c](json::Writer &w) {
+            m->withEngineLock([&]() { writeComponent(w, *c); });
+        });
     });
 
     routeBoth("GET", "/buffers", [m](const web::Request &req) {
@@ -126,7 +156,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
         // rebuild; with it the wave shares one build.
         return cachedResponse(
             m, req, m->buffersGeneration(), "application/json",
-            m->config().cacheTtlFloorMs, [m, sort, top]() {
+            kCacheTtlFloorMs, [m, sort, top]() {
                 std::string body;
                 json::Writer w(body);
                 writeBuffers(w, m->bufferLevels(sort, top));
@@ -135,10 +165,8 @@ installApiRoutes(web::Router &server, Monitor &monitor)
     });
 
     routeBoth("GET", "/progress", [m](const web::Request &) {
-        std::string body;
-        json::Writer w(body);
-        writeProgress(w, m->progressBars());
-        return web::Response::json(std::move(body));
+        return streamedResponse(
+            [m](json::Writer &w) { writeProgress(w, m->progressBars()); });
     });
 
     routeBoth("POST", "/pause", [m](const web::Request &) {
@@ -163,9 +191,9 @@ installApiRoutes(web::Router &server, Monitor &monitor)
 
     server.route("GET", "/api/profile", [m](const web::Request &req) {
         auto top = static_cast<std::size_t>(req.queryInt("top", 30));
-        json::Json j = serializeProfile(m->profile(top));
-        j.set("enabled", m->profiling());
-        return jsonResponse(j);
+        return streamedResponse([m, top](json::Writer &w) {
+            writeProfile(w, m->profile(top), m->profiling());
+        });
     });
 
     server.route("POST", "/api/profile/start", [m](const web::Request &) {
@@ -214,7 +242,8 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                      TrackedSeries s = m->valueSeries(id);
                      if (s.id == 0)
                          return web::Response::error(404, "unknown id");
-                     return jsonResponse(serializeSeries(s));
+                     return streamedResponse(
+                         [&s](json::Writer &w) { writeSeries(w, s); });
                  });
 
     server.route("GET", "/api/throughput", [m](const web::Request &req) {
@@ -259,10 +288,12 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                  });
 
     server.route("GET", "/api/monitor/all", [m](const web::Request &) {
-        json::Json arr = json::Json::array();
-        for (const auto &s : m->allValueSeries())
-            arr.push(serializeSeries(s));
-        return jsonResponse(arr);
+        return streamedResponse([m](json::Writer &w) {
+            w.beginArray();
+            for (const auto &s : m->allValueSeries())
+                writeSeries(w, s);
+            w.endArray();
+        });
     });
 
     // ---- Metrics subsystem ----
@@ -274,8 +305,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
         // staleness of one metricsIntervalMs.
         return cachedResponse(
             m, req, m->metricsGeneration(),
-            "text/plain; version=0.0.4; charset=utf-8",
-            m->config().cacheTtlFloorMs,
+            "text/plain; version=0.0.4; charset=utf-8", kCacheTtlFloorMs,
             [m]() { return m->metrics().renderPrometheus(); });
     });
 
@@ -322,8 +352,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                      }
                      return cachedResponse(
                          m, req, m->metricsGeneration(),
-                         "application/json",
-                         m->config().cacheTtlFloorMs,
+                         "application/json", kCacheTtlFloorMs,
                          [m, name, filter, from, to, step]() {
                              auto series = m->metrics().query(
                                  name, filter, from, to, step);
@@ -480,13 +509,11 @@ installApiRoutes(web::Router &server, Monitor &monitor)
         // the TTL-floor cadence forces a rebuild at least that often
         // while frozen; x-akita-no-cache (handled by cachedResponse)
         // bypasses even that window.
-        std::uint64_t ttl =
-            std::max<std::uint64_t>(1, m->config().hangTtlFloorMs);
         std::uint64_t gen =
             m->buffersGeneration() +
-            static_cast<std::uint64_t>(wallNowMs()) / ttl;
+            static_cast<std::uint64_t>(wallNowMs()) / kHangTtlFloorMs;
         return cachedResponse(
-            m, req, gen, "application/json", ttl, [m]() {
+            m, req, gen, "application/json", kHangTtlFloorMs, [m]() {
                 std::string body;
                 writeHangReport(body, m->hangReport());
                 return body;
@@ -606,7 +633,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
                     404, "flight recorder disabled (set --record=)");
             return cachedResponse(
                 m, req, m->recorderGeneration(), "application/json",
-                m->config().recorderTtlFloorMs, [m]() {
+                kRecorderTtlFloorMs, [m]() {
                     recorder::FlightRecorder::Info inf =
                         m->recorder()->info();
                     std::string body;
@@ -657,8 +684,7 @@ installApiRoutes(web::Router &server, Monitor &monitor)
             std::uint64_t gen =
                 m->metricsGeneration() + m->recorderGeneration();
             return cachedResponse(
-                m, req, gen, "application/json",
-                m->config().recorderTtlFloorMs,
+                m, req, gen, "application/json", kRecorderTtlFloorMs,
                 [m, name, filter, from, to, step]() {
                     std::string body;
                     json::Writer w(body);

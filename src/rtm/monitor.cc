@@ -35,7 +35,7 @@ nowWallMs()
 } // namespace
 
 Monitor::Monitor(const MonitorConfig &cfg)
-    : cfg_(cfg), values_(cfg.valueHistoryCap)
+    : cfg_(cfg), values_(metrics_)
 {
     analyzer_ = std::make_unique<BufferAnalyzer>(&registry_);
     throughput_ = std::make_unique<ThroughputTracker>(&registry_);
@@ -55,45 +55,39 @@ Monitor::Monitor(const MonitorConfig &cfg)
             recorder_->recordEvent("monitor_start", nowWallMs(), 0);
         }
     }
-    if (cfg_.metricsEnabled) {
-        values_.attachStore(&metrics_);
-        metrics_.setReplayCapacity(cfg_.sseReplayPasses);
-        metrics::Desc d;
-        d.name = "akita_http_requests_total";
-        d.help = "Dashboard HTTP requests served.";
-        d.type = metrics::Type::Counter;
-        metrics_.addCallback(std::move(d), [this]() {
-            return static_cast<double>(requestsServed());
-        });
+    metrics_.setReplayCapacity(kSseReplayPasses);
+    metrics::Desc d;
+    d.name = "akita_http_requests_total";
+    d.help = "Dashboard HTTP requests served.";
+    d.type = metrics::Type::Counter;
+    metrics_.addCallback(std::move(d), [this]() {
+        return static_cast<double>(requestsServed());
+    });
 
-        // Serving-path cache effectiveness (one family, labeled by
-        // event kind so /metrics shows the full hit/miss/coalesce/304
-        // breakdown the TTL-floor and ETag machinery produces).
-        struct CacheStat
-        {
-            const char *kind;
-            std::function<double()> fn;
-        };
-        const CacheStat stats[] = {
-            {"hit",
-             [this]() { return double(respCache_.hitCount()); }},
-            {"miss",
-             [this]() { return double(respCache_.missCount()); }},
-            {"coalesced",
-             [this]() { return double(respCache_.coalesceCount()); }},
-            {"not_modified",
-             [this]() { return double(respCache_.notModifiedCount()); }},
-            {"encode",
-             [this]() { return double(respCache_.encodeCount()); }},
-        };
-        for (const CacheStat &s : stats) {
-            metrics::Desc cd;
-            cd.name = "akita_rtm_response_cache_events_total";
-            cd.help = "Response-cache serving events by kind.";
-            cd.type = metrics::Type::Counter;
-            cd.labels = {{"kind", s.kind}};
-            metrics_.addCallback(std::move(cd), s.fn);
-        }
+    // Serving-path cache effectiveness (one family, labeled by event
+    // kind so /metrics shows the full hit/miss/coalesce/304 breakdown
+    // the TTL-floor and ETag machinery produces).
+    struct CacheStat
+    {
+        const char *kind;
+        std::function<double()> fn;
+    };
+    const CacheStat stats[] = {
+        {"hit", [this]() { return double(respCache_.hitCount()); }},
+        {"miss", [this]() { return double(respCache_.missCount()); }},
+        {"coalesced",
+         [this]() { return double(respCache_.coalesceCount()); }},
+        {"not_modified",
+         [this]() { return double(respCache_.notModifiedCount()); }},
+        {"encode", [this]() { return double(respCache_.encodeCount()); }},
+    };
+    for (const CacheStat &s : stats) {
+        metrics::Desc cd;
+        cd.name = "akita_rtm_response_cache_events_total";
+        cd.help = "Response-cache serving events by kind.";
+        cd.type = metrics::Type::Counter;
+        cd.labels = {{"kind", s.kind}};
+        metrics_.addCallback(std::move(cd), s.fn);
     }
 }
 
@@ -134,19 +128,15 @@ Monitor::registerEngine(sim::Engine *engine)
     }
     // The engine itself is inspectable but is not a Component; its
     // fields are exposed through the status endpoint instead.
-    if (cfg_.metricsEnabled) {
-        instrumentEngine();
-        if (cfg_.autoSample)
-            ensureSampler();
-    }
+    instrumentEngine();
+    ensureSampler();
 }
 
 void
 Monitor::registerComponent(sim::Component *component)
 {
     registry_.add(component);
-    if (cfg_.metricsEnabled)
-        instrumentComponent(component);
+    instrumentComponent(component);
 }
 
 void
@@ -681,21 +671,12 @@ Monitor::tickComponent(const std::string &name)
 }
 
 json::Json
-Monitor::componentSnapshot(const std::string &name) const
-{
-    sim::Component *c = registry_.find(name);
-    if (c == nullptr)
-        return json::Json();
-    json::Json out;
-    withEngineLock([&]() { out = serializeComponent(*c); });
-    return out;
-}
-
-json::Json
 Monitor::componentTree() const
 {
-    TreeNode root = registry_.buildTree();
-    return serializeTree(root);
+    std::string body;
+    json::Writer w(body);
+    writeTree(w, registry_.buildTree());
+    return json::Json::parse(body);
 }
 
 std::vector<BufferLevel>
@@ -836,7 +817,7 @@ Monitor::trackValue(const std::string &component_name,
 
     std::uint64_t id =
         values_.track(component_name, field_name, std::move(getter));
-    if (id != 0 && cfg_.autoSample)
+    if (id != 0)
         ensureSampler();
     return id;
 }
@@ -901,9 +882,8 @@ Monitor::samplerLoop()
         // Metrics passes run on their own (slower) cadence: a pass
         // visits every instrument, the value monitor only a handful.
         auto now = std::chrono::steady_clock::now();
-        if (cfg_.metricsEnabled &&
-            now - lastMetricsPass >=
-                std::chrono::milliseconds(cfg_.metricsIntervalMs)) {
+        if (now - lastMetricsPass >=
+            std::chrono::milliseconds(cfg_.metricsIntervalMs)) {
             lastMetricsPass = now;
             metricsSamplePass();
         }

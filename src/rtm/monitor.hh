@@ -75,19 +75,6 @@ struct MonitorConfig
     /** Print the dashboard URL on startServer (paper §IV-A). */
     bool announceUrl = true;
     /**
-     * Retained points per tracked value series. The paper's dashboard
-     * keeps 300; longer investigations can raise it (the metrics store
-     * additionally keeps downsampled history beyond this cap).
-     */
-    std::size_t valueHistoryCap = 300;
-    /**
-     * Enables the metrics subsystem: registered engines/components get
-     * standard instruments, and the sampler thread records them into
-     * the multi-resolution store served at /metrics and the
-     * /api/v1/metrics endpoints.
-     */
-    bool metricsEnabled = true;
-    /**
      * HTTP handler worker-pool size. 0 means auto: the
      * AKITA_HTTP_WORKERS environment variable if set, else
      * min(4, hardware_concurrency).
@@ -97,22 +84,6 @@ struct MonitorConfig
     std::size_t httpMaxConnections = 256;
     /** listen(2) backlog; 0 means SOMAXCONN (always the upper cap). */
     int httpBacklog = 0;
-    /**
-     * Response-cache TTL floor (ms) for endpoints whose generation
-     * advances continuously (/api/buffers, /metrics, metrics queries):
-     * a cached body younger than this is served even though the
-     * generation moved on, so a polling wave costs one build. Bounds
-     * staleness to this many milliseconds; 0 restores pure
-     * generation-driven freshness.
-     */
-    std::uint64_t cacheTtlFloorMs = 50;
-    /**
-     * Sampling passes retained for SSE resume: a dashboard
-     * reconnecting to /api/v1/metrics/stream with Last-Event-ID within
-     * this window misses no samples. 0 disables the replay ring (a
-     * reconnect then restarts from the latest pass).
-     */
-    std::size_t sseReplayPasses = 32;
 
     /**
      * Flight-recorder segment path (--record=). Empty disables the
@@ -124,16 +95,6 @@ struct MonitorConfig
     std::string recordPath;
     /** Segment file size; bounds disk use, older records wrap away. */
     std::size_t recordSegmentBytes = 8 * 1024 * 1024;
-    /**
-     * Cache TTL floor (ms) for /api/v1/hang. The hang verdict's
-     * freshness cannot key on the engine event count alone — during a
-     * deadlock that count freezes, and a pre-hang "not hanging" body
-     * would be served forever. The endpoint's generation therefore
-     * also advances once per this many wall milliseconds.
-     */
-    std::uint64_t hangTtlFloorMs = 100;
-    /** Cache TTL floor (ms) for the /api/v1/recorder endpoints. */
-    std::uint64_t recorderTtlFloorMs = 200;
     /**
      * Cache TTL floor (ms) for /api/v1/domains. Per-domain counters
      * move continuously while the engine runs, and the domain engine
@@ -150,6 +111,13 @@ struct MonitorConfig
 class Monitor : public gpu::KernelProgressListener
 {
   public:
+    /**
+     * Sampling passes retained for SSE resume: a dashboard reconnecting
+     * to /api/v1/metrics/stream with Last-Event-ID within this window
+     * misses no samples.
+     */
+    static constexpr std::size_t kSseReplayPasses = 32;
+
     explicit Monitor(const MonitorConfig &cfg);
 
     Monitor() : Monitor(MonitorConfig{}) {}
@@ -239,9 +207,6 @@ class Monitor : public gpu::KernelProgressListener
     bool tickComponent(const std::string &name);
 
     // ---- Views (each call holds the engine lock briefly) ----
-
-    /** Snapshot of one component as JSON; null JSON when unknown. */
-    json::Json componentSnapshot(const std::string &name) const;
 
     /** The collapsible hierarchy of all registered components. */
     json::Json componentTree() const;

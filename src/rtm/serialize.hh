@@ -6,13 +6,17 @@
  * each function serializes exactly one component, one buffer table, or
  * one series — never the whole simulation — so a monitoring request
  * borrows the engine lock only briefly.
+ *
+ * Every serializer streams through json::Writer straight into the
+ * response buffer, with no intermediate Json nodes. The bodies are
+ * compact JSON with keys in the order written here; tests pin them
+ * against literal golden bodies.
  */
 
 #ifndef AKITA_RTM_SERIALIZE_HH
 #define AKITA_RTM_SERIALIZE_HH
 
 #include "introspect/value.hh"
-#include "json/json.hh"
 #include "json/writer.hh"
 #include "rtm/bufferanalyzer.hh"
 #include "rtm/progressbar.hh"
@@ -26,57 +30,36 @@ namespace akita
 namespace rtm
 {
 
-/** Converts an introspection value to JSON. */
-json::Json toJson(const introspect::Value &value);
-
-/**
- * Serializes one component: fields (name, type, value), ports, and
- * buffer levels. Must run under the engine lock.
- */
-json::Json serializeComponent(const sim::Component &component);
-
-/** Serializes the component tree for the hierarchy view. */
-json::Json serializeTree(const TreeNode &root);
-
-/** Serializes a buffer-level table (Fig. 3). */
-json::Json serializeBuffers(const std::vector<BufferLevel> &levels);
-
-/** Serializes progress bars. */
-json::Json serializeProgress(const std::vector<ProgressBar> &bars);
-
-/** Serializes a profile snapshot (self/total/edges, Fig. 2 E). */
-json::Json serializeProfile(const sim::ProfSnapshot &snapshot);
-
-/** Serializes a resource-usage sample. */
-json::Json serializeResources(const ResourceUsage &usage);
-
-/** Serializes one tracked time series (Fig. 5 graphs). */
-json::Json serializeSeries(const TrackedSeries &series);
-
-// ---- Streaming fast path ----
-//
-// Writer-based equivalents of the tree builders above, used by the hot
-// read endpoints: same bytes as serializeX(...).dump(), but appended
-// straight into the response buffer with no intermediate Json nodes.
-// Tests assert the byte equivalence.
-
-/** Streams an introspection value (same bytes as toJson().dump()). */
+/** Streams an introspection value. */
 void writeValue(json::Writer &w, const introspect::Value &value);
 
-/** Streams one component snapshot. Must run under the engine lock. */
+/**
+ * Streams one component: fields (name, type, value), ports, and buffer
+ * levels. Must run under the engine lock.
+ */
 void writeComponent(json::Writer &w, const sim::Component &component);
 
-/** Streams the component tree. */
+/** Streams the component tree for the hierarchy view. */
 void writeTree(json::Writer &w, const TreeNode &root);
 
-/** Streams a buffer-level table. */
+/** Streams a buffer-level table (Fig. 3). */
 void writeBuffers(json::Writer &w,
                   const std::vector<BufferLevel> &levels);
 
 /** Streams progress bars. */
 void writeProgress(json::Writer &w, const std::vector<ProgressBar> &bars);
 
-/** Streams one tracked time series. */
+/**
+ * Streams a profile snapshot (self/total/edges, Fig. 2 E) and, last,
+ * whether the profiler is @p enabled.
+ */
+void writeProfile(json::Writer &w, const sim::ProfSnapshot &snapshot,
+                  bool enabled);
+
+/** Streams a resource-usage sample. */
+void writeResources(json::Writer &w, const ResourceUsage &usage);
+
+/** Streams one tracked time series (Fig. 5 graphs). */
 void writeSeries(json::Writer &w, const TrackedSeries &series);
 
 } // namespace rtm

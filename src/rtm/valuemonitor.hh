@@ -13,7 +13,6 @@
 #define AKITA_RTM_VALUEMONITOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -44,39 +43,26 @@ struct TrackedSeries
 };
 
 /**
- * Tracks registered fields over time in fixed-size ring buffers.
+ * Tracks registered fields over time.
  *
- * The sampling driver (Monitor) calls sampleAll under the engine lock;
- * readers take consistent snapshots from any thread.
+ * Samples live in the metrics store only: every tracked field is a
+ * pushed "akita_tracked_value" instrument, and the dashboard's
+ * 300-point view is the newest kMaxPoints samples of that
+ * instrument's raw ring. The sampling driver (Monitor) calls sampleAll
+ * under the engine lock; readers take consistent snapshots from any
+ * thread.
  */
 class ValueMonitor
 {
   public:
-    /** Default retained points per series (paper: 300). */
+    /** Points per series in the dashboard view (paper: 300). */
     static constexpr std::size_t kMaxPoints = 300;
 
     /** Maximum simultaneously tracked series (paper: 5). */
     static constexpr std::size_t kMaxSeries = 5;
 
-    /**
-     * @param max_points In-monitor ring size per series. The paper's
-     *        dashboard keeps 300; harnesses that want longer windows
-     *        raise it (MonitorConfig::valueHistoryCap plumbs through).
-     */
-    explicit ValueMonitor(std::size_t max_points = kMaxPoints)
-        : maxPoints_(max_points == 0 ? 1 : max_points)
-    {
-    }
-
-    std::size_t maxPoints() const { return maxPoints_; }
-
-    /**
-     * Mirrors every tracked series into @p store as a pushed
-     * "akita_tracked_value" instrument, giving it multi-resolution
-     * history far beyond the in-monitor ring. Call before track();
-     * nullptr detaches.
-     */
-    void attachStore(metrics::MetricRegistry *store);
+    /** @param store Holds every sample; must outlive the monitor. */
+    explicit ValueMonitor(metrics::MetricRegistry &store) : store_(store) {}
 
     /**
      * Starts tracking a field.
@@ -94,8 +80,7 @@ class ValueMonitor
     /**
      * Samples every tracked series at the given simulation time.
      *
-     * @param wall_ms Wall-clock milliseconds for the attached store's
-     *        bucketing; 0 is fine when no store is attached.
+     * @param wall_ms Wall-clock milliseconds for the store's bucketing.
      */
     void sampleAll(sim::VTime now, std::int64_t wall_ms = 0);
 
@@ -114,16 +99,17 @@ class ValueMonitor
         std::string componentName;
         std::string fieldName;
         introspect::FieldGetter getter;
-        std::deque<ValueSample> ring;
-        /** Id of the mirrored store instrument (0 = none). */
-        std::uint64_t storeId = 0;
+        /** Id of the store instrument holding the samples. */
+        std::uint64_t storeId;
     };
 
-    std::size_t maxPoints_;
+    /** The newest kMaxPoints samples of @p e. */
+    TrackedSeries snapshot(const Entry &e) const;
+
+    metrics::MetricRegistry &store_;
     mutable std::mutex mu_;
     std::vector<Entry> entries_;
     std::uint64_t nextId_ = 1;
-    metrics::MetricRegistry *store_ = nullptr;
 };
 
 } // namespace rtm

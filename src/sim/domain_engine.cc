@@ -915,7 +915,7 @@ DomainEngine::executeBatch(Dom &d, VTime bound)
             wakeAllDoms();
         }
     };
-    while (n < batch_ && !d.queue.empty()) {
+    while (n < kBatch && !d.queue.empty()) {
         if (stopRequested_.load(std::memory_order_relaxed) ||
             paused_.load(std::memory_order_relaxed) ||
             exitWorkers_.load(std::memory_order_relaxed))
@@ -1271,7 +1271,7 @@ DomainEngine::tryAdoptRepartition()
     }
     const double before = imbalanceOf(curW);
     const double after = imbalanceOf(candW);
-    if (moved == 0 || after * repartHysteresis_ >= before)
+    if (moved == 0 || after * kRepartHysteresis >= before)
         return false;
 
     // Migration. Every mailbox lock is taken so events parked there

@@ -304,16 +304,6 @@ class DomainEngine : public Engine
         repartThreshold_ = maxOverMean < 1.0 ? 1.0 : maxOverMean;
     }
 
-    /**
-     * Adopt a candidate only when its predicted imbalance times this
-     * factor is still below the current one (anti-thrash margin).
-     */
-    void
-    setRepartitionHysteresis(double improveFactor)
-    {
-        repartHysteresis_ = improveFactor < 1.0 ? 1.0 : improveFactor;
-    }
-
     /** Evaluations to skip after an adopted repartition. */
     void
     setRepartitionCooldown(int evals)
@@ -372,18 +362,12 @@ class DomainEngine : public Engine
     /** Bounded history (newest last) of adopted repartitions. */
     std::vector<RepartitionEvent> repartitionEvents() const;
 
-    /** Events executed per safe-window batch (cf. SerialEngine). */
-    void
-    setBatch(int n)
-    {
-        batch_ = n < 1 ? 1 : n;
-    }
-
     /**
      * Per-edge fast-path ring capacity (rounded up to a power of two).
      * Must be set before the partition is computed; a full ring spills
      * to the slow mailbox, so small rings only cost throughput, never
-     * correctness. Tests use 1-2 slot rings to force the spill path.
+     * correctness. A 1-slot ring forces the spill path
+     * (DomainEngineCross.EndStateMatchesSerialEngine).
      */
     void setRingCapacity(int n);
 
@@ -410,6 +394,14 @@ class DomainEngine : public Engine
 
   private:
     static constexpr VTime kTimeMax = ~static_cast<VTime>(0);
+    /** Events executed per safe-window batch (cf. SerialEngine). */
+    static constexpr int kBatch = 256;
+    /**
+     * Adopt a repartition candidate only when its predicted imbalance
+     * times this factor is still below the current one (anti-thrash
+     * margin).
+     */
+    static constexpr double kRepartHysteresis = 1.2;
 
     struct InEdge
     {
@@ -572,7 +564,6 @@ class DomainEngine : public Engine
     void ensurePartitioned();
 
     int requested_;
-    int batch_ = 256;
     WakeHandler wakeHandler_;
 
     // Registration (guarded by setupMu_ until partitioned). Recursive
@@ -617,7 +608,6 @@ class DomainEngine : public Engine
     std::atomic<bool> repartition_{false};
     CostModel costModel_ = CostModel::Events;
     double repartThreshold_ = 1.5;
-    double repartHysteresis_ = 1.2;
     int repartCooldown_ = 2;
     std::uint64_t repartMinEvents_ = 1024;
     /** Evaluations left to skip (coordinator/drain-boundary only). */

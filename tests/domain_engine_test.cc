@@ -637,7 +637,9 @@ TEST(DomainEngineCross, EndStateMatchesSerialEngine)
 {
     // Same rig on the serial engine and on a 2-domain engine: the
     // delivered data must be identical (the end-state determinism bar;
-    // wall-clock interleaving and wake alignment may differ).
+    // wall-clock interleaving and wake alignment may differ). A 1-slot
+    // cross-domain ring fills at once and spills into the locked slow
+    // mailbox, so the second capacity covers the spill path.
     auto runRig = [](Engine &eng, DomainEngine *de) {
         Node a(&eng, "A", 4), b(&eng, "B", 2);
         DirectConnection conn(&eng, "Conn", 5 * kNanosecond);
@@ -659,10 +661,20 @@ TEST(DomainEngineCross, EndStateMatchesSerialEngine)
     SerialEngine serial;
     std::vector<int> serialRx = runRig(serial, nullptr);
 
-    DomainEngine dom(2);
-    std::vector<int> domRx = runRig(dom, &dom);
+    for (int ringCapacity : {0, 1}) {
+        SCOPED_TRACE("ring capacity " + std::string(ringCapacity == 0
+                                                        ? "default"
+                                                        : "1"));
+        DomainEngine dom(2);
+        if (ringCapacity != 0)
+            dom.setRingCapacity(ringCapacity);
+        std::vector<int> domRx = runRig(dom, &dom);
 
-    EXPECT_EQ(domRx, serialRx);
+        EXPECT_EQ(domRx, serialRx);
+        if (ringCapacity == 1) {
+            EXPECT_GT(dom.mailboxSlowTotal(), 0u);
+        }
+    }
 }
 
 TEST(DomainEngineCross, ZeroLookaheadRejectedAtRunByName)

@@ -138,30 +138,66 @@ TEST(Throughput, ClientCursorLruEviction)
     EXPECT_LE(tracker.numClients(), 256u);
 }
 
-TEST(ValueMonitor, HistoryCapConfigurable)
+TEST(ValueMonitor, DashboardViewIsNewestWindowOfStore)
 {
     rtm::MonitorConfig cfg;
     cfg.announceUrl = false;
     cfg.autoSample = false;
-    cfg.valueHistoryCap = 4;
     Rig rig(cfg);
 
     auto id = rig.mon.trackValue("GPU[0].RDMA", "transactions");
     ASSERT_GT(id, 0u);
-    for (int i = 0; i < 10; i++)
+    const std::size_t passes = rtm::ValueMonitor::kMaxPoints + 10;
+    for (std::size_t i = 0; i < passes; i++)
         rig.mon.sampleNow();
 
-    // The dashboard ring honours the configured cap...
+    // The dashboard view keeps the paper's 300 points...
     auto s = rig.mon.valueSeries(id);
-    EXPECT_EQ(s.samples.size(), 4u);
+    EXPECT_EQ(s.samples.size(), rtm::ValueMonitor::kMaxPoints);
 
-    // ...while the metrics store retains the full raw history beyond
-    // the cap (no 300-point cliff).
+    // ...as a window over the metrics store, which retains the raw
+    // history beyond it (no 300-point cliff).
     auto series = rig.mon.metrics().query(
         "akita_tracked_value", {{"component", "GPU[0].RDMA"}}, 0,
         std::numeric_limits<std::int64_t>::max(), 1);
     ASSERT_EQ(series.size(), 1u);
-    EXPECT_GE(series[0].points.size(), 10u);
+    EXPECT_GE(series[0].points.size(), passes);
+}
+
+TEST(ValueMonitor, SameFieldTrackedTwiceExposesDistinctSeries)
+{
+    // Two series with identical label sets are one series twice, which
+    // Prometheus rejects; each tracked series carries its id.
+    rtm::MonitorConfig cfg;
+    cfg.announceUrl = false;
+    cfg.autoSample = false;
+    Rig rig(cfg);
+
+    auto a = rig.mon.trackValue("GPU[0].RDMA", "transactions");
+    auto b = rig.mon.trackValue("GPU[0].RDMA", "transactions");
+    ASSERT_GT(a, 0u);
+    ASSERT_GT(b, 0u);
+    ASSERT_NE(a, b);
+    rig.mon.sampleNow();
+
+    std::string text = rig.mon.metrics().renderPrometheus();
+    std::vector<std::string> series;
+    std::size_t pos = 0;
+    while ((pos = text.find("\nakita_tracked_value{", pos)) !=
+           std::string::npos) {
+        pos++;
+        std::size_t close = text.find('}', pos);
+        ASSERT_NE(close, std::string::npos);
+        series.push_back(text.substr(pos, close + 1 - pos));
+    }
+    ASSERT_EQ(series.size(), 2u) << text;
+    EXPECT_NE(series[0], series[1]);
+    EXPECT_NE(series[0].find("id=\"" + std::to_string(a) + "\""),
+              std::string::npos)
+        << series[0];
+    EXPECT_NE(series[1].find("id=\"" + std::to_string(b) + "\""),
+              std::string::npos)
+        << series[1];
 }
 
 TEST(Throughput, UnknownComponentEmpty)

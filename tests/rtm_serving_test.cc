@@ -173,10 +173,10 @@ TEST(ResponseCache, ClearDropsEntries)
 }
 
 // ---------------------------------------------------------------------
-// Streaming serializers vs Json-tree serializers
+// Streaming serializers: golden wire bodies
 // ---------------------------------------------------------------------
 
-TEST(StreamingSerialize, BuffersMatchTreePath)
+TEST(StreamingSerialize, BuffersGoldenBody)
 {
     std::vector<rtm::BufferLevel> levels;
     for (int i = 0; i < 4; i++) {
@@ -189,10 +189,18 @@ TEST(StreamingSerialize, BuffersMatchTreePath)
     std::string streamed;
     json::Writer w(streamed);
     rtm::writeBuffers(w, levels);
-    EXPECT_EQ(streamed, rtm::serializeBuffers(levels).dump());
+    EXPECT_EQ(streamed,
+              R"([{"buffer":"GPU[0].L1V.Buf","size":0,"cap":16,)"
+              R"("percent":0,"head_kind":""},)"
+              R"({"buffer":"GPU[1].L1V.Buf","size":3,"cap":16,)"
+              R"("percent":18.75,"head_kind":""},)"
+              R"({"buffer":"GPU[2].L1V.Buf","size":6,"cap":16,)"
+              R"("percent":37.5,"head_kind":""},)"
+              R"({"buffer":"GPU[3].L1V.Buf","size":9,"cap":16,)"
+              R"("percent":56.25,"head_kind":""}])");
 }
 
-TEST(StreamingSerialize, ProgressMatchesTreePath)
+TEST(StreamingSerialize, ProgressGoldenBody)
 {
     std::vector<rtm::ProgressBar> bars(2);
     bars[0].id = 1;
@@ -206,10 +214,14 @@ TEST(StreamingSerialize, ProgressMatchesTreePath)
     std::string streamed;
     json::Writer w(streamed);
     rtm::writeProgress(w, bars);
-    EXPECT_EQ(streamed, rtm::serializeProgress(bars).dump());
+    EXPECT_EQ(streamed,
+              R"([{"id":1,"label":"kernel \"fir\"","total":100,)"
+              R"("completed":40,"in_progress":8,"not_started":52},)"
+              R"({"id":2,"label":"copy","total":7,"completed":0,)"
+              R"("in_progress":0,"not_started":7}])");
 }
 
-TEST(StreamingSerialize, SeriesMatchesTreePath)
+TEST(StreamingSerialize, SeriesGoldenBody)
 {
     rtm::TrackedSeries s;
     s.id = 3;
@@ -221,10 +233,14 @@ TEST(StreamingSerialize, SeriesMatchesTreePath)
     std::string streamed;
     json::Writer w(streamed);
     rtm::writeSeries(w, s);
-    EXPECT_EQ(streamed, rtm::serializeSeries(s).dump());
+    EXPECT_EQ(streamed,
+              R"({"id":3,"component":"GPU[0].SA[1]","field":"occupancy",)"
+              R"("points":[{"t_ps":0,"v":0},{"t_ps":1000,"v":0.125},)"
+              R"({"t_ps":2000,"v":0.25},{"t_ps":3000,"v":0.375},)"
+              R"({"t_ps":4000,"v":0.5}]})");
 }
 
-TEST(StreamingSerialize, TreeMatchesTreePath)
+TEST(StreamingSerialize, TreeGoldenBody)
 {
     rtm::TreeNode root;
     root.label = "root";
@@ -239,7 +255,10 @@ TEST(StreamingSerialize, TreeMatchesTreePath)
     std::string streamed;
     json::Writer w(streamed);
     rtm::writeTree(w, root);
-    EXPECT_EQ(streamed, rtm::serializeTree(root).dump());
+    EXPECT_EQ(streamed,
+              R"({"label":"root","children":[{"label":"GPU[0]",)"
+              R"("children":[{"label":"SA[0]",)"
+              R"("component":"GPU[0].SA[0]"}]}]})");
 }
 
 // ---------------------------------------------------------------------
@@ -363,7 +382,6 @@ TEST(MonitorServing, CacheCountersExportedViaMetrics)
     rtm::MonitorConfig cfg;
     cfg.port = 0;
     cfg.announceUrl = false;
-    cfg.metricsEnabled = true;
     cfg.metricsIntervalMs = 3600 * 1000; // Manual passes only.
     rtm::Monitor mon(cfg);
     ASSERT_TRUE(mon.startServer());

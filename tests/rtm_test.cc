@@ -207,7 +207,8 @@ TEST(BufferAnalyzerTest, SeesRegisteredInternalBuffers)
 
 TEST(ValueMonitorTest, TracksAndSamples)
 {
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     int x = 0;
     auto id = vm.track("C", "x", [&x]() {
         return introspect::Value::ofInt(x);
@@ -229,7 +230,8 @@ TEST(ValueMonitorTest, TracksAndSamples)
 TEST(ValueMonitorTest, RingKeepsMostRecent300)
 {
     // Paper: "keep only the most recent 300 data points".
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     int x = 0;
     auto id = vm.track("C", "x", [&x]() {
         return introspect::Value::ofInt(x);
@@ -247,7 +249,8 @@ TEST(ValueMonitorTest, RingKeepsMostRecent300)
 TEST(ValueMonitorTest, FiveSeriesLimit)
 {
     // Paper: "plots up to five individual values over time".
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     auto getter = []() { return introspect::Value::ofInt(0); };
     for (int i = 0; i < 5; i++)
         EXPECT_GT(vm.track("C", "f" + std::to_string(i), getter), 0u);
@@ -261,7 +264,8 @@ TEST(ValueMonitorTest, FiveSeriesLimit)
 
 TEST(ValueMonitorTest, UnknownIdHandling)
 {
-    ValueMonitor vm;
+    metrics::MetricRegistry store;
+    ValueMonitor vm(store);
     EXPECT_FALSE(vm.untrack(99));
     EXPECT_EQ(vm.series(99).id, 0u);
 }
@@ -345,61 +349,106 @@ TEST(ResourceMonitorTest, CpuPercentReflectsBusyWork)
 // Serialization
 // ---------------------------------------------------------------------
 
-TEST(Serialize, ValueToJson)
+namespace
 {
-    using introspect::Value;
-    EXPECT_EQ(toJson(Value()).dump(), "null");
-    EXPECT_EQ(toJson(Value::ofInt(3)).dump(), "3");
-    EXPECT_EQ(toJson(Value::ofStr("s")).dump(), "\"s\"");
-    EXPECT_EQ(toJson(Value::ofList({Value::ofInt(1)})).dump(), "[1]");
-    EXPECT_EQ(
-        toJson(Value::ofDict({{"k", Value::ofBool(true)}})).dump(),
-        "{\"k\":true}");
+
+/** Runs @p write against a fresh Writer and returns the body. */
+template <typename Fn>
+std::string
+streamed(Fn write)
+{
+    std::string body;
+    json::Writer w(body);
+    write(w);
+    return body;
 }
 
-TEST(Serialize, ComponentSnapshotShape)
+} // namespace
+
+TEST(Serialize, ValueGoldenBodies)
+{
+    using introspect::Value;
+    auto body = [](const Value &v) {
+        return streamed([&](json::Writer &w) { writeValue(w, v); });
+    };
+    EXPECT_EQ(body(Value()), "null");
+    EXPECT_EQ(body(Value::ofInt(3)), "3");
+    EXPECT_EQ(body(Value::ofStr("s")), "\"s\"");
+    EXPECT_EQ(body(Value::ofList({Value::ofInt(1)})), "[1]");
+    EXPECT_EQ(body(Value::ofDict({{"k", Value::ofBool(true)}})),
+              "{\"k\":true}");
+}
+
+TEST(Serialize, ComponentGoldenBody)
 {
     sim::SerialEngine eng;
     Dummy d(&eng, "GPU[0].X");
     d.level = 9;
-    json::Json j = serializeComponent(d);
-    EXPECT_EQ(j.getStr("name"), "GPU[0].X");
-    const json::Json *fields = j.get("fields");
-    ASSERT_NE(fields, nullptr);
-    ASSERT_GE(fields->size(), 1u);
-    EXPECT_EQ(fields->at(0).getStr("name"), "level");
-    EXPECT_EQ(fields->at(0).getInt("value", -1), 9);
-    const json::Json *ports = j.get("ports");
-    ASSERT_NE(ports, nullptr);
-    EXPECT_EQ(ports->at(0).getStr("name"), "TopPort");
+    EXPECT_EQ(streamed([&](json::Writer &w) { writeComponent(w, d); }),
+              R"({"name":"GPU[0].X","fields":[{"name":"level",)"
+              R"("type":"int","value":9,"numeric":9}],)"
+              R"("ports":[{"name":"TopPort",)"
+              R"("buffer":"GPU[0].X.TopPort.Buf","size":0,"capacity":4,)"
+              R"("total_sent":0,"send_rejections":0}],)"
+              R"("buffers":[{"name":"GPU[0].X.TopPort.Buf","size":0,)"
+              R"("capacity":4,"head_kind":""}]})");
 }
 
-TEST(Serialize, BufferTableMatchesFig3Columns)
+TEST(Serialize, BufferTableGoldenBodyHasFig3Columns)
 {
     std::vector<BufferLevel> rows = {
         {"GPU[1].SA[15].L1VROB[0].TopPort.Buf", 8, 8},
         {"GPU[1].SA[7].L1VAddrTrans[1].TopPort.Buf", 4, 4},
     };
-    json::Json j = serializeBuffers(rows);
-    ASSERT_EQ(j.size(), 2u);
-    EXPECT_EQ(j.at(0).getStr("buffer"),
-              "GPU[1].SA[15].L1VROB[0].TopPort.Buf");
-    EXPECT_EQ(j.at(0).getInt("size", 0), 8);
-    EXPECT_EQ(j.at(0).getInt("cap", 0), 8);
-    EXPECT_DOUBLE_EQ(j.at(0).getNumber("percent", 0), 100.0);
+    EXPECT_EQ(streamed([&](json::Writer &w) { writeBuffers(w, rows); }),
+              R"([{"buffer":"GPU[1].SA[15].L1VROB[0].TopPort.Buf",)"
+              R"("size":8,"cap":8,"percent":100,"head_kind":""},)"
+              R"({"buffer":"GPU[1].SA[7].L1VAddrTrans[1].TopPort.Buf",)"
+              R"("size":4,"cap":4,"percent":100,"head_kind":""}])");
 }
 
-TEST(Serialize, SeriesToJson)
+TEST(Serialize, SeriesGoldenBody)
 {
     TrackedSeries s;
     s.id = 2;
     s.componentName = "C";
     s.fieldName = "f";
     s.samples = {{1000, 3.0}, {2000, 4.0}};
-    json::Json j = serializeSeries(s);
-    EXPECT_EQ(j.getInt("id", 0), 2);
-    EXPECT_EQ(j.get("points")->size(), 2u);
-    EXPECT_DOUBLE_EQ(j.get("points")->at(1).getNumber("v", 0), 4.0);
+    EXPECT_EQ(streamed([&](json::Writer &w) { writeSeries(w, s); }),
+              R"({"id":2,"component":"C","field":"f","points":)"
+              R"([{"t_ps":1000,"v":3},{"t_ps":2000,"v":4}]})");
+}
+
+TEST(Serialize, ProfileGoldenBodyEndsWithEnabled)
+{
+    sim::ProfSnapshot snap;
+    snap.wallNs = 1000;
+    snap.entries.push_back({"Cache.tick", 10, 30, 2});
+    snap.entries.push_back({"Engine.run", 5, 35, 1});
+    snap.edges.push_back({"Engine.run", "Cache.tick", 30, 2});
+    EXPECT_EQ(
+        streamed([&](json::Writer &w) { writeProfile(w, snap, true); }),
+        R"({"wall_ns":1000,"functions":[{"name":"Cache.tick",)"
+        R"("self_ns":10,"total_ns":30,"calls":2},{"name":"Engine.run",)"
+        R"("self_ns":5,"total_ns":35,"calls":1}],"edges":[)"
+        R"({"caller":"Engine.run","callee":"Cache.tick","total_ns":30,)"
+        R"("calls":2}],"enabled":true})");
+    EXPECT_EQ(streamed([&](json::Writer &w) {
+                  writeProfile(w, sim::ProfSnapshot{}, false);
+              }),
+              R"({"wall_ns":0,"functions":[],"edges":[],"enabled":false})");
+}
+
+TEST(Serialize, ResourcesGoldenBody)
+{
+    ResourceUsage u;
+    u.cpuPercent = 12.5;
+    u.rssBytes = 4096;
+    u.vmBytes = 8192;
+    u.numThreads = 3;
+    EXPECT_EQ(streamed([&](json::Writer &w) { writeResources(w, u); }),
+              R"({"cpu_percent":12.5,"rss_bytes":4096,"vm_bytes":8192,)"
+              R"("num_threads":3})");
 }
 
 // ---------------------------------------------------------------------
